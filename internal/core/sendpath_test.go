@@ -271,6 +271,39 @@ func TestWarmDeliveryAllocs(t *testing.T) {
 	}
 }
 
+// TestWarmDeliveryAllocsOneFramePerPoll is TestWarmDeliveryAllocs on the
+// paper-fidelity path: a 512-message burst that backs up behind a
+// receiver polling one frame at a time. The ucx receive queue advances a
+// head index over one reused array, so a poll costs the frames it picks
+// up and nothing for the backlog behind them.
+func TestWarmDeliveryAllocsOneFramePerPoll(t *testing.T) {
+	c, src, dst, h, counter := warmSendWorld(t)
+	dst.Worker.MaxDrain = 1
+	payload := make([]byte, 8)
+	payload[0] = 1
+	const burstLen = 512
+	burst := func() {
+		for i := 0; i < burstLen; i++ {
+			if err := src.SendQuiet(1, h, "main", payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Run()
+	}
+	burst() // size the queue array, the frame pool and the event heap
+	polls := dst.Worker.Stats.IfuncPolls
+	const budget = 0.5
+	if allocs := testing.AllocsPerRun(5, burst) / burstLen; allocs > budget {
+		t.Errorf("warm delivery at MaxDrain=1 allocates %.2f objects/msg, budget %.1f", allocs, budget)
+	}
+	if got := dst.Worker.Stats.IfuncPolls - polls; got != 6*burstLen {
+		t.Fatalf("%d polls for %d messages, want one each", got, 6*burstLen)
+	}
+	if got := readU64(dst, counter); got != 7*burstLen {
+		t.Fatalf("counter = %d, want %d", got, 7*burstLen)
+	}
+}
+
 // TestNegotiatedBuildAllocFree pins the cluster-wide negotiation path:
 // probing the destination's registry and content store and building the
 // hash-ref (or CAS-truncated) frame into the pooled per-destination

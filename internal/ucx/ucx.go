@@ -106,9 +106,10 @@ type IfuncDelivery struct {
 // charged one IfuncPoll plus a per-frame pickup cost (RecvOverhead)
 // before the drain is invoked, instead of IfuncPoll per frame.
 //
-// The batch slice is only valid for the duration of the call: the worker
-// may recycle its backing array once the drain returns (the
-// allocation-free steady state of the polling loop). Consumers that
+// The batch slice is only valid for the duration of the call: it is a
+// view of the worker's receive queue, whose slots are zeroed and reused
+// once the drain returns (the allocation-free steady state of the
+// polling loop). Consumers that
 // defer work must copy the IfuncDelivery values they retain — the frame
 // bytes themselves stay valid until the consumer invokes the delivery's
 // Release hook.
@@ -138,24 +139,28 @@ type Worker struct {
 	regions    map[uint32]memRegion
 	nextKey    uint32
 
-	// ifuncQ buffers frames written into the node's message buffer by
-	// the NIC until the polling loop picks them up; pollPending is set
-	// while a poll wakeup is scheduled on the node core. qFree recycles
-	// the backing arrays of fully drained queues once their batch has
-	// been consumed, keeping the steady-state polling loop
-	// allocation-free.
+	// ifuncQ is the polled message buffer: one reused backing array with
+	// a head index. Frames the NIC wrote wait in ifuncQ[qHead:]; the
+	// slots below qHead have been picked up and are zero, except for the
+	// pendBatch slots just under qHead, which are zeroed once that batch
+	// is consumed. A poll advances qHead and an arrival appends, so
+	// neither touches the other's slots and a pickup of n frames costs
+	// O(n) whatever the backlog. The dead prefix is reclaimed by
+	// consumeBatch — the one point where no batch view is live — so
+	// len(ifuncQ) stays under twice the live backlog plus one batch and
+	// the steady-state polling loop allocates nothing. pollPending is set
+	// while a poll wakeup is scheduled on the node core.
 	ifuncQ      []IfuncDelivery
-	qFree       [][]IfuncDelivery
+	qHead       int
 	pollPending bool
 	// drainFn/consumeFn memoize the drainIfuncs/consumeBatch method
 	// values so neither scheduling a poll wakeup nor handing a batch to
-	// the drain allocates a fresh closure. pendBatch/pendFull carry the
+	// the drain allocates a fresh closure. pendBatch carries the
 	// picked-up batch from drainIfuncs to consumeBatch; the node core
 	// serializes the two, so at most one batch is ever in flight.
 	drainFn   func()
 	consumeFn func()
 	pendBatch []IfuncDelivery
-	pendFull  bool
 
 	// AMDispatch is the extra CPU cost of dispatching an AM through the
 	// handler pointer table (calibrated per testbed).
@@ -584,6 +589,9 @@ func (ep *Endpoint) ifuncEnqueue(a any) {
 	msg := a.(*fabric.Message)
 	done := msg.Sig
 	if ep.Peer.ifuncDrain == nil {
+		if msg.Rel != nil {
+			msg.Rel(msg.Data)
+		}
 		msg.Free()
 		if done != nil {
 			done.Fire(uint64(ErrRejected))
@@ -608,7 +616,7 @@ func (w *Worker) enqueueIfunc(d IfuncDelivery) {
 // batching emerges from backpressure, exactly like a real polling loop
 // that finds several messages after a long handler.
 func (w *Worker) schedulePoll() {
-	if w.pollPending || len(w.ifuncQ) == 0 {
+	if w.pollPending || w.qHead == len(w.ifuncQ) {
 		return
 	}
 	w.pollPending = true
@@ -620,32 +628,26 @@ func (w *Worker) schedulePoll() {
 
 // drainIfuncs is the poll pickup: it takes every queued frame (bounded
 // by MaxDrain), charges one IfuncPoll plus RecvOverhead per frame, and
-// hands the batch to the drain.
+// hands the batch to the drain. The batch is a capacity-clipped view of
+// the queue array — no frame is copied, whole queue or not — and stays
+// intact until consumeBatch: later arrivals append beyond it (or move to
+// a grown array and leave it behind), and nothing else writes below
+// qHead.
 func (w *Worker) drainIfuncs() {
 	w.pollPending = false
-	n := len(w.ifuncQ)
+	n := len(w.ifuncQ) - w.qHead
 	if n == 0 {
 		return
 	}
 	if w.MaxDrain > 0 && n > w.MaxDrain {
 		n = w.MaxDrain
 	}
-	batch := w.ifuncQ[:n:n]
-	full := n == len(w.ifuncQ)
-	if full {
-		// Full drain: hand over the backing array; the next arrival
-		// starts from a recycled queue (or a fresh one).
-		if k := len(w.qFree); k > 0 {
-			w.ifuncQ = w.qFree[k-1][:0]
-			w.qFree = w.qFree[:k-1]
-		} else {
-			w.ifuncQ = nil
-		}
-	} else {
-		rest := make([]IfuncDelivery, len(w.ifuncQ)-n)
-		copy(rest, w.ifuncQ[n:])
-		w.ifuncQ = rest
+	if w.pendBatch != nil {
+		panic("ucx: overlapping ifunc batch consumption")
 	}
+	end := w.qHead + n
+	w.pendBatch = w.ifuncQ[w.qHead:end:end]
+	w.qHead = end
 	w.Stats.IfuncPolls++
 	w.Stats.IfuncFrames += uint64(n)
 	cost := w.IfuncPoll + sim.Time(n)*w.Ctx.Net.Params.RecvOverhead
@@ -655,13 +657,9 @@ func (w *Worker) drainIfuncs() {
 		tr.Span(obs.TrackCore, "drain", w.Node.CPUFreeAt(), cost).
 			Arg("frames", uint64(n))
 	}
-	if w.pendBatch != nil {
-		panic("ucx: overlapping ifunc batch consumption")
-	}
 	if w.consumeFn == nil {
 		w.consumeFn = w.consumeBatch
 	}
-	w.pendBatch, w.pendFull = batch, full
 	w.Node.ExecCPU(cost, w.consumeFn)
 	// Frames beyond MaxDrain wait for the next poll, which starts after
 	// this batch's pickup charge.
@@ -673,7 +671,7 @@ func (w *Worker) drainIfuncs() {
 // pickup charge; the next poll is already queued behind it, so the
 // single pending-batch slot can never be overwritten.
 func (w *Worker) consumeBatch() {
-	batch, full := w.pendBatch, w.pendFull
+	batch := w.pendBatch
 	w.pendBatch = nil
 	w.ifuncDrain(batch)
 	for i := range batch {
@@ -681,15 +679,19 @@ func (w *Worker) consumeBatch() {
 			batch[i].done.Fire(uint64(OK))
 		}
 	}
-	// Recycle only fully drained queues — such a batch owns its whole
-	// backing array. (A partial batch is a prefix view of a larger
-	// array; keeping it would pin the array and feed the GC.) Bound
-	// the free list so a one-off storm cannot park memory forever.
-	if full && len(w.qFree) < 4 {
-		for i := range batch {
-			batch[i] = IfuncDelivery{} // drop frame refs
-		}
-		w.qFree = append(w.qFree, batch[:0])
+	// Zero the consumed slots where the queue holds them now (a grown
+	// array carries copies), so queue capacity never pins a sender's
+	// pooled frame buffer.
+	q, head := w.ifuncQ, w.qHead
+	clear(q[head-len(batch) : head])
+	// No batch view is live here, so this is where the dead prefix goes:
+	// once it is at least as long as the backlog, slide the backlog to
+	// the front (an empty queue just rewinds). The move is paid for by
+	// the frames consumed since the last one — O(1) amortized per frame.
+	if live := len(q) - head; head >= live {
+		copy(q, q[head:])
+		clear(q[head:])
+		w.ifuncQ, w.qHead = q[:live], 0
 	}
 }
 

@@ -1,6 +1,8 @@
 package ucx
 
 import (
+	"encoding/binary"
+	"math/rand"
 	"testing"
 
 	"threechains/internal/fabric"
@@ -204,10 +206,15 @@ func TestIfuncDrainDelivery(t *testing.T) {
 
 func TestIfuncWithoutDrainRejected(t *testing.T) {
 	w := newWorld(t)
-	sig := w.ab.SendIfunc([]byte{1})
+	released := 0
+	sig := w.ab.SendIfuncPooled([]byte{1}, func([]byte) { released++ })
 	w.eng.Run()
 	if Status(sig.Value()) != ErrRejected {
 		t.Fatalf("status %v", Status(sig.Value()))
+	}
+	// The rejected frame's bytes are dead: the pooled buffer goes back.
+	if released != 1 {
+		t.Fatalf("release hook fired %d times on a rejected frame, want 1", released)
 	}
 }
 
@@ -290,6 +297,212 @@ func TestIfuncMaxDrainBoundsBatch(t *testing.T) {
 	want := 10*sim.Microsecond + n*(w.wb.IfuncPoll+testParams().RecvOverhead)
 	if got := w.wb.Node.Stats.CPUBusy; got != want {
 		t.Fatalf("MaxDrain=1 charged %v of CPU, want %v", got, want)
+	}
+}
+
+// backlog is the number of frames waiting for a poll.
+func backlog(w *Worker) int { return len(w.ifuncQ) - w.qHead }
+
+// checkQueueSlots scans the whole backing array of the receive queue:
+// only the pending batch and the backlog may hold frame references.
+func checkQueueSlots(t *testing.T, w *Worker) {
+	t.Helper()
+	q := w.ifuncQ[:cap(w.ifuncQ)]
+	lo := w.qHead - len(w.pendBatch)
+	for i, d := range q {
+		if i >= lo && i < len(w.ifuncQ) {
+			continue
+		}
+		if d.Frame != nil || d.Release != nil || d.done != nil {
+			t.Fatalf("queue slot %d of %d (head %d, len %d, pending %d) still holds a frame",
+				i, len(q), w.qHead, len(w.ifuncQ), len(w.pendBatch))
+		}
+	}
+}
+
+// TestIfuncQueueModel drives the receive queue with seeded bursts while
+// the receiver core is busy for random spans, at every drain bound, and
+// compares each delivered batch against a plain-slice model that
+// snapshots the expected batch at pickup time — so a frame that arrives
+// between drainIfuncs and consumeBatch (appending in place, or growing
+// the array under the batch) must not change what the drain sees.
+func TestIfuncQueueModel(t *testing.T) {
+	for _, maxDrain := range []int{0, 1, 3, 8} {
+		w := newWorld(t)
+		w.wb.IfuncPoll = 200 * sim.Nanosecond
+		w.wb.MaxDrain = maxDrain
+		rng := rand.New(rand.NewSource(int64(17 + maxDrain)))
+
+		var model, expect []uint32 // queued frame ids; the batch picked up
+		var delivered, underBatch, grewUnderBatch, peakLive int
+		var busy sim.Time
+		enqueue := w.ab.hopFn
+		w.ab.hopFn = func(a any) {
+			checkQueueSlots(t, w.wb)
+			if w.wb.pendBatch != nil {
+				underBatch++
+				if len(w.wb.ifuncQ) == cap(w.wb.ifuncQ) {
+					grewUnderBatch++
+				}
+			}
+			model = append(model, binary.LittleEndian.Uint32(a.(*fabric.Message).Data))
+			enqueue(a)
+			if live := backlog(w.wb); live > peakLive {
+				peakLive = live
+			}
+			if n := len(w.wb.ifuncQ); n > 2*peakLive+len(w.wb.pendBatch) {
+				t.Fatalf("MaxDrain %d: queue length %d with peak backlog %d", maxDrain, n, peakLive)
+			}
+		}
+		w.wb.drainFn = func() {
+			n := len(model)
+			if maxDrain > 0 && n > maxDrain {
+				n = maxDrain
+			}
+			expect, model = append([]uint32(nil), model[:n]...), model[n:]
+			w.wb.drainIfuncs()
+		}
+		w.wb.SetIfuncDrain(func(batch []IfuncDelivery) {
+			if len(batch) != len(expect) {
+				t.Fatalf("MaxDrain %d: batch of %d frames, model picked up %d", maxDrain, len(batch), len(expect))
+			}
+			for i, d := range batch {
+				if id := binary.LittleEndian.Uint32(d.Frame); id != expect[i] || d.SrcNode != w.wa.Node.ID {
+					t.Fatalf("MaxDrain %d: batch[%d] is frame %d from node %d, model says frame %d",
+						maxDrain, i, id, d.SrcNode, expect[i])
+				}
+				d.Release(d.Frame)
+			}
+			delivered += len(batch)
+			// A handler of random length: the next arrivals pile up.
+			if rng.Intn(3) == 0 {
+				span := sim.Time(rng.Intn(4000)) * sim.Nanosecond
+				busy += span
+				w.wb.Node.ExecCPU(span, func() {})
+			}
+		})
+
+		const frames = 3000
+		released := make([]int, frames)
+		fired := make([]int, frames)
+		var at sim.Time
+		for id := 0; id < frames; at += sim.Time(rng.Intn(30000)) * sim.Nanosecond {
+			// A burst of 1-80 back-to-back sends, then a gap that sometimes
+			// lets the queue run dry.
+			for burst := 1 + rng.Intn(80); burst > 0 && id < frames; burst, id = burst-1, id+1 {
+				id := id
+				w.eng.At(at, func() {
+					frame := binary.LittleEndian.AppendUint32(nil, uint32(id))
+					done := w.ab.SendIfuncPooled(frame, func([]byte) { released[id]++ })
+					done.OnFire(func() {
+						if Status(done.Value()) == OK {
+							fired[id]++
+						}
+					})
+				})
+			}
+		}
+		w.eng.Run()
+
+		if delivered != frames || len(model) != 0 {
+			t.Fatalf("MaxDrain %d: delivered %d of %d frames, model holds %d", maxDrain, delivered, frames, len(model))
+		}
+		for id := range released {
+			if released[id] != 1 || fired[id] != 1 {
+				t.Fatalf("MaxDrain %d: frame %d released %d times, completed OK %d times", maxDrain, id, released[id], fired[id])
+			}
+		}
+		st := w.wb.Stats
+		if st.IfuncFrames != frames || (maxDrain == 1 && st.IfuncPolls != frames) {
+			t.Fatalf("MaxDrain %d: poll stats %+v", maxDrain, st)
+		}
+		want := busy + sim.Time(st.IfuncPolls)*w.wb.IfuncPoll + frames*testParams().RecvOverhead
+		if got := w.wb.Node.Stats.CPUBusy; got != want {
+			t.Fatalf("MaxDrain %d: charged %v of CPU, want %v", maxDrain, got, want)
+		}
+		if underBatch == 0 || grewUnderBatch == 0 {
+			t.Fatalf("MaxDrain %d: %d arrivals under a pending batch, %d of them growing the array: schedule too tame",
+				maxDrain, underBatch, grewUnderBatch)
+		}
+		checkQueueSlots(t, w.wb)
+		if w.wb.qHead != 0 || len(w.wb.ifuncQ) != 0 || w.wb.pendBatch != nil {
+			t.Fatalf("MaxDrain %d: drained queue left head %d, len %d, pending %d",
+				maxDrain, w.wb.qHead, len(w.wb.ifuncQ), len(w.wb.pendBatch))
+		}
+	}
+}
+
+// TestIfuncQueueDrainAllocs pins the steady state of the paper-fidelity
+// path: a 4096-frame backlog drained one frame per poll allocates
+// nothing, on the first burst's array or any later one, and a one-off
+// storm leaves behind a single array of at most four bursts' slots.
+func TestIfuncQueueDrainAllocs(t *testing.T) {
+	w := newWorld(t)
+	w.wb.MaxDrain = 1
+	peak := 0
+	w.wb.SetIfuncDrain(func([]IfuncDelivery) {
+		if live := backlog(w.wb); live > peak {
+			peak = live
+		}
+	})
+	const burst = 4096
+	frame := []byte{1, 2, 3, 4}
+	storm := func() {
+		// Straight into the message buffer: the fabric's message pool
+		// sheds entries under the race detector, and this pin is about
+		// the queue alone.
+		for i := 0; i < burst; i++ {
+			w.wb.enqueueIfunc(IfuncDelivery{Frame: frame})
+		}
+		w.eng.Run()
+	}
+	storm()
+	if peak != burst-1 {
+		t.Fatalf("first poll left a backlog of %d frames, want %d", peak, burst-1)
+	}
+	if allocs := testing.AllocsPerRun(3, storm); allocs > 0 {
+		t.Errorf("draining a %d-frame backlog at MaxDrain=1 allocates %.0f objects per burst, want 0", burst, allocs)
+	}
+	if polls := w.wb.Stats.IfuncPolls; polls != w.wb.Stats.IfuncFrames || polls != 5*burst {
+		t.Fatalf("poll stats %+v, want %d one-frame polls", w.wb.Stats, 5*burst)
+	}
+	if c := cap(w.wb.ifuncQ); c > 4*burst {
+		t.Errorf("a %d-frame storm left a %d-slot queue array", burst, c)
+	}
+	checkQueueSlots(t, w.wb)
+}
+
+// TestIfuncQueueSustainedStreamBounded keeps the queue from ever running
+// dry: the dead prefix must be reclaimed under way, not only on empty.
+func TestIfuncQueueSustainedStreamBounded(t *testing.T) {
+	w := newWorld(t)
+	w.wb.MaxDrain = 1
+	frame := []byte{1, 2, 3, 4}
+	const window, total = 32, 20000
+	sent := 0
+	w.wb.SetIfuncDrain(func([]IfuncDelivery) {
+		if sent == total {
+			return
+		}
+		// Closed loop, one in for one out, behind a handler slow enough
+		// that the replacement lands before the backlog is gone.
+		sent++
+		w.ab.SendIfuncQuiet(frame, nil)
+		w.wb.Node.ExecCPU(2*sim.Microsecond, func() {})
+		if backlog(w.wb) == 0 {
+			t.Fatalf("queue ran dry after %d frames", w.wb.Stats.IfuncFrames)
+		}
+	})
+	w.wb.Node.ExecCPU(100*sim.Microsecond, func() {})
+	for i := 0; i < window; i++ {
+		w.ab.SendIfuncQuiet(frame, nil)
+	}
+	w.eng.Run()
+	if got := w.wb.Stats.IfuncFrames; got != total+window {
+		t.Fatalf("drained %d frames, want %d", got, total+window)
+	}
+	if c := cap(w.wb.ifuncQ); c > 4*window {
+		t.Fatalf("a stream with a %d-frame backlog grew the queue array to %d slots", window, c)
 	}
 }
 
