@@ -38,7 +38,6 @@ func main() {
 	placement := flag.Bool("placement", true, "include the placement-policy sweep")
 	scale := flag.Bool("scale", true, "include the sharded-engine scale sweep")
 	dedup := flag.Bool("dedup", true, "include the content-addressed dedup and delta write-back sweeps")
-	regioncache := flag.Bool("regioncache", true, "include the data-region cache repeat-pull sweep")
 	jsonOut := flag.Bool("json", false, "write BENCH_engines.json with the engine and batch sweeps")
 	jsonPath := flag.String("json-path", "BENCH_engines.json", "output path for -json")
 	tracePath := flag.String("trace", "", "write a Perfetto-loadable Chrome trace of the concurrent-hetero scenario to this path and print its virtual-time profile")
@@ -68,12 +67,6 @@ func main() {
 		if rep != nil {
 			rep.Dedup = rows
 			rep.Delta = deltas
-		}
-	}
-	if *regioncache || *jsonOut {
-		rows := regioncacheReport(*regioncache)
-		if rep != nil {
-			rep.RegionCache = rows
 		}
 	}
 	if *tracePath != "" || *jsonOut {
@@ -139,10 +132,6 @@ type enginesReport struct {
 	// Delta is the delta write-back sweep: pull-route PUT bytes vs the
 	// whole-region baseline across dirty-span sizes.
 	Delta []bench.DeltaPoint `json:"delta,omitempty"`
-	// RegionCache is the data-region cache sweep: repeat-pull GET bytes
-	// across (region size, dirty span) under cache-on vs cache-off, with
-	// the guest-outcome hash asserted equal between modes.
-	RegionCache []bench.RegionCacheResult `json:"regioncache,omitempty"`
 	// Metrics is the unified per-node metrics snapshot of the traced
 	// concurrent-hetero run (counters plus latency-histogram quantiles),
 	// deterministic in both order and values.
@@ -395,31 +384,6 @@ func dedupReport(print bool) ([]bench.DedupResult, []bench.DeltaPoint) {
 		fmt.Printf("\n")
 	}
 	return rows, deltas
-}
-
-// regioncacheReport runs the data-region cache sweep on the Thor-Xeon
-// profile: repeat pulls of one owner region across (region size, dirty
-// span), cache-on vs cache-off. Guest outcomes are asserted
-// mode-invariant inside the sweep; only GET bytes and virtual time may
-// move. When print is true the table goes to stdout.
-func regioncacheReport(print bool) []bench.RegionCacheResult {
-	rows, err := bench.RegionCacheSweep(testbed.ThorXeon())
-	if err != nil {
-		log.Fatal(err)
-	}
-	if print {
-		fmt.Printf("--- Region cache (repeat-pull GET bytes, %d rounds) ---\n", rows[0].Rounds)
-		fmt.Printf("%-8s %-8s %14s %14s %8s %8s %8s %12s %12s\n",
-			"region", "dirty", "cache", "nocache", "savings", "elides", "deltas", "virt(cache)", "virt(off)")
-		for _, r := range rows {
-			fmt.Printf("%-8d %-8d %13dB %13dB %7.2f%% %8d %8d %12d %12d\n",
-				r.RegionWords, r.DirtyWords, r.Cache.GetBytes, r.NoCache.GetBytes,
-				r.SavingsPct, r.Cache.Elides, r.Cache.DeltaPulls,
-				r.Cache.VirtTime, r.NoCache.VirtTime)
-		}
-		fmt.Printf("\n")
-	}
-	return rows
 }
 
 // traceReport runs the concurrent-hetero scenario with tracing and

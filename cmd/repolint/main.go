@@ -28,6 +28,12 @@
 //	   emission must be dominated by an `X.Trace != nil` check. Trace
 //	   attachment is optional (core.Cluster.AttachTrace), so an
 //	   unguarded emission is a nil-pointer panic on every untraced run.
+//
+//	R4 peermem: in non-test files of internal/core, every `X.Node.Mem()`
+//	   call must have X be the enclosing method's receiver. A runtime
+//	   reads only its own node's memory; a peer's bytes arrive over the
+//	   fabric (ucx GET/PUT), which charges them in virtual time. A direct
+//	   read of another node's heap is a free, unpriced transfer.
 package main
 
 import (
@@ -292,6 +298,9 @@ func (l *fileLinter) lint() []finding {
 		l.lintMapRange()
 	}
 	l.lintTraceGuard()
+	if strings.HasPrefix(l.rel, "internal/core/") && !strings.HasSuffix(l.rel, "_test.go") {
+		l.lintPeerMem()
+	}
 	return l.findings
 }
 
@@ -376,6 +385,43 @@ func (l *fileLinter) lintMapRange() {
 			if name != "" && l.mapNames[name] {
 				l.add(rng.Pos(), "maprange",
 					"range over map %q: iteration order is randomized — sort keys first or annotate `//repolint:allow maprange` if provably order-insensitive", name)
+			}
+			return true
+		})
+	}
+}
+
+// lintPeerMem is R4: flag `X.Node.Mem()` unless X is the receiver of
+// the enclosing method (closures inside a method see the same receiver).
+func (l *fileLinter) lintPeerMem() {
+	for _, decl := range l.file.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Body == nil {
+			continue
+		}
+		recv := ""
+		if fn.Recv != nil && len(fn.Recv.List) > 0 && len(fn.Recv.List[0].Names) > 0 {
+			recv = fn.Recv.List[0].Names[0].Name
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			mem, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || mem.Sel.Name != "Mem" {
+				return true
+			}
+			node, ok := mem.X.(*ast.SelectorExpr)
+			if !ok || node.Sel.Name != "Node" {
+				return true
+			}
+			if x := exprChain(node.X); recv == "" || x != recv {
+				if x == "" {
+					x = "<expr>"
+				}
+				l.add(call.Pos(), "peermem",
+					"%s.Node.Mem() reads another node's memory: a peer's bytes must arrive over the fabric (ucx Get), which charges them in virtual time", x)
 			}
 			return true
 		})

@@ -66,21 +66,6 @@ func main() {
 	fmt.Printf("\nall policies again bit-identical (hash %s)\n", c.Points[0].ResultHash)
 	fmt.Printf("queueing-aware model beats the best alternative by %.1f%%\n", c.QueueWinPct)
 
-	// What repeat pulls actually cost: the data-region cache keeps a
-	// content-addressed staged copy per (owner, region), so a repeat pull
-	// of an unchanged region skips the GET entirely and a partially
-	// dirtied one fetches only the stale chunks.
-	rc, err := threechains.RegionCacheSweep(profile)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nregion cache (repeat pulls, %d rounds):\n", rc[0].Rounds)
-	fmt.Printf("%-8s %-8s %14s %14s %9s\n", "region", "dirty", "cache", "nocache", "savings")
-	for _, row := range rc {
-		fmt.Printf("%-8d %-8d %13dB %13dB %8.2f%%\n",
-			row.RegionWords, row.DirtyWords, row.Cache.GetBytes, row.NoCache.GetBytes, row.SavingsPct)
-	}
-
 	// Where did the virtual time go? Re-run the concurrent scenario with
 	// a trace attached (pure observation: same makespan, same results)
 	// and dump a Perfetto-loadable timeline — one process per node with

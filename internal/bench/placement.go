@@ -73,28 +73,25 @@ type PlacementScenario struct {
 
 // PlacementScenarios returns the default sweep grid. "mixed-hetero" is
 // the acceptance scenario: 8-24 KiB operand regions with real dirty
-// spans (the write-back is real wire time even when the region cache
-// elides the repeat GET), mildly asymmetric node speeds, heavy loop
-// kernels next to cheap resident services — the regime where neither
-// static policy can win everywhere and the planner's per-request mix
-// beats both.
+// spans (the write-back is real wire time on top of the GET), mildly
+// asymmetric node speeds, heavy loop kernels next to cheap resident
+// services — the regime where neither static policy can win everywhere
+// and the planner's per-request mix beats both.
 func PlacementScenarios() []PlacementScenario {
 	return []PlacementScenario{
 		{Name: "mixed-hetero", Params: place.WorkloadParams{
 			Seed: 46, Nodes: 4, Types: 6, Ops: 96,
 			MinRegionWords: 1024, MaxRegionWords: 3072,
 			HeavyIters: 8192, PredeployFrac: 0.5,
-			// A narrow speed band: with repeat GETs elided, ship only ever
-			// wins when the remote execution penalty is smaller than the
-			// write-back wire cost it avoids, which caps the useful
+			// A narrow speed band: ship only ever wins when the remote
+			// execution penalty is smaller than the wire cost it avoids
+			// (the GET plus the write-back), which caps the useful
 			// asymmetry well below the 1-8x default.
 			SpeedMin: 1, SpeedMax: 1.8,
 			// Mutating kernels overwrite a real span, not one word: the
 			// pull route's delta write-back pays for the dirty bytes the
 			// ship route writes in place, which keeps the ship/pull
-			// trade-off genuine now that the region cache elides repeat
-			// GETs (without it, all-pull dominates and the acceptance
-			// criterion degenerates).
+			// trade-off genuine.
 			DirtyWords: 3072,
 		}},
 		{Name: "churn", Params: place.WorkloadParams{Seed: 7, Nodes: 4, Types: 6, Ops: 96, ChurnEvery: 16}},

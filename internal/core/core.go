@@ -255,11 +255,11 @@ type Runtime struct {
 	Sent    *ifunc.SentCache
 
 	// Store is the node's content-addressed store: every code section
-	// (and staged pull snapshot) resides here exactly once, keyed by
-	// ifunc.ContentHash and pinned by the registrations/handles that
-	// reference it. It is what the cluster-wide send negotiation reads
-	// ("does the destination already hold these bytes?") and what bounds
-	// cache memory via NodeSpec.StoreBudget.
+	// resides here exactly once, keyed by ifunc.ContentHash and pinned by
+	// the registrations/handles that reference it. It is what the
+	// cluster-wide send negotiation reads ("does the destination already
+	// hold these bytes?") and what bounds cache memory via
+	// NodeSpec.StoreBudget.
 	Store *ifunc.Store
 
 	// Engine is this node's execution backend (NodeSpec.Engine).
@@ -280,21 +280,6 @@ type Runtime struct {
 	// mode the DAPC paper-fidelity harness pins so its tables keep
 	// modeling the published protocol.
 	DisableCAS bool
-
-	// DisableRegionCache turns off the data-region cache on the pull
-	// route — no GET elision, no chunk-delta pulls, every pull a
-	// whole-region GET (the pre-cache behavior, and the baseline the
-	// regioncache sweep compares against). DisableCAS implies it: the
-	// region negotiation reads the owner through the same casPeer gate,
-	// so the pairwise-baseline mode stays free of every cluster-wide
-	// virtual-time peek.
-	DisableRegionCache bool
-
-	// regionClock tracks owner-side version counters for regions served
-	// to pullers (lazily, from the first pull); regionCache holds this
-	// node's puller-side staged entries (see region.go).
-	regionClock ifunc.RegionClock
-	regionCache map[regionKey]*regionEntry
 
 	// ExecCostMultiplier scales guest execution cost on this node
 	// (default 1). The Julia DAPC mode uses it to model the unoptimized
@@ -451,18 +436,14 @@ type RuntimeStats struct {
 	// write-back win.
 	WriteBackPutBytes  uint64
 	WriteBackFullBytes uint64
-	// PullGetBytes is the GET response payload the pull route actually
-	// fetched once the region cache negotiated (0 for an elided pull, the
-	// chunk delta plus descriptors for a stale one, the whole region
-	// otherwise); PullGetFullBytes is what whole-region GETs would have
-	// fetched. Their ratio is the measured region-cache win, the pull
-	// mirror of the write-back pair above.
+	// PullGetBytes is the GET response payload the pull route fetched
+	// (one whole region per pull); PullGetFullBytes is what whole-region
+	// GETs would have fetched. The two are always equal.
 	PullGetBytes     uint64
 	PullGetFullBytes uint64
-	// RegionElides counts pulls whose staged copy was current (the GET
-	// elided entirely); RegionDeltaPulls counts stale pulls served by a
-	// chunk-granular vectored GetV.
-	RegionElides     uint64
+	// RegionElides is kept only because benchmark/ reads it; no program code sets or reads it.
+	RegionElides uint64
+	// RegionDeltaPulls is kept only because benchmark/ reads it; no program code sets or reads it.
 	RegionDeltaPulls uint64
 	// VerifyRejects counts wire-received modules the static verifier
 	// rejected at admission (mcode.Verify): the frame is dropped (also
@@ -486,11 +467,6 @@ func newRuntime(c *Cluster, node *fabric.Node, eng mcode.Engine) *Runtime {
 	}
 	r.Worker = c.Ctx.NewWorker(node)
 	r.Store = ifunc.NewStore(func() sim.Time { return r.eng().Now() })
-	// Region version bumps for every NIC-side write (one-sided PUT/PutV
-	// application, including guest write-backs): the observer runs inside
-	// the write event, so bumps are deterministic, and the clock's empty
-	// fast path keeps nodes that never serve pulls free of it.
-	node.OnWrite = r.regionClock.TouchRange
 	r.Session = jit.NewSession(node.March, r.Loader, r.allocGlobal)
 	r.Session.Engine = eng
 	r.adaptiveClock, _ = mcode.AdaptiveClockOf(eng)
@@ -1398,16 +1374,6 @@ func (r *Runtime) executeBatchAt(reg *ifunc.Registration, entry uint16, payloads
 		ran = j
 	}
 	r.current = nil
-
-	// Guest stores land during RunBatch (memory effects are immediate),
-	// so tracked regions containing the batch's target are versioned now,
-	// before any later virtual-time validity peek. Point containment is
-	// conservative — a read-only batch bumps too — which is safe: the
-	// puller's chunk diff revalidates, and an unchanged region diffs to
-	// zero stale chunks (version refresh at no wire cost).
-	if !r.regionClock.Empty() {
-		r.regionClock.TouchPoint(target)
-	}
 
 	reg.ObserveExec(uint64(n), uint64(ma.Steps()))
 	r.Stats.Executions += uint64(n)

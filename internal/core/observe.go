@@ -86,8 +86,6 @@ func (c *Cluster) AttachMetrics(m *obs.Registry) {
 		m.Counter(i, "runtime.drains", &rs.Drains)
 		m.Counter(i, "runtime.group_runs", &rs.GroupRuns)
 		m.Counter(i, "runtime.verify_rejects", &rs.VerifyRejects)
-		m.Counter(i, "runtime.region_elides", &rs.RegionElides)
-		m.Counter(i, "runtime.region_delta_pulls", &rs.RegionDeltaPulls)
 		m.Counter(i, "runtime.pull_get_bytes", &rs.PullGetBytes)
 		m.Counter(i, "runtime.pull_get_full_bytes", &rs.PullGetFullBytes)
 		m.Counter(i, "runtime.writeback_put_bytes", &rs.WriteBackPutBytes)

@@ -282,34 +282,6 @@ func (r *Runtime) buildRequest(dst int, h *Handle, entry uint16, payload []byte,
 	req.PullViable = localRunnable && opts.DataSize > 0 && opts.DataSize <= pullArena &&
 		dst < len(r.heapKeys)
 
-	// Region-cache pricing: what the pull route's GET will actually carry
-	// once the cache negotiates. A live staged entry whose version matches
-	// the owner's elides the GET entirely; a stale one re-fetches the
-	// measured chunk-delta residual (the stale-pull EWMA); anything else —
-	// no entry, evicted snapshot, ineligible peer — pays the whole region,
-	// the pre-cache price. Both probes are recency-neutral virtual-time
-	// peeks: pricing a route must not perturb the store's LRU order the
-	// way actually taking it does.
-	if req.PullViable {
-		req.GetBytes = int(opts.DataSize)
-		if peer := r.regionPeer(dst); peer != nil {
-			if ver, ok := peer.regionClock.Version(opts.DataAddr, opts.DataSize); ok {
-				if e := r.regionEntryFor(dst, opts.DataAddr, opts.DataSize, false); e != nil {
-					if e.version == ver {
-						req.GetBytes = place.GetElided
-					} else if localReg != nil {
-						if m, ok := localReg.MeanGetBytes(); ok && m < float64(opts.DataSize) {
-							req.GetBytes = int(m + 0.5)
-							if req.GetBytes < 1 {
-								req.GetBytes = 1
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-
 	model := place.CostModel{
 		Net:    r.Cluster.Net.Params,
 		Local:  place.NodeTraits{March: r.Node.March, ExecMult: r.ExecCostMultiplier, IfuncPoll: r.Worker.IfuncPoll},
@@ -510,22 +482,14 @@ func snapshotSegs(segs []ucx.PutSeg) []ucx.PutSeg {
 	return out
 }
 
-// offloadPull is the pull-data route: stage the region, execute against
-// the staged copy, PUT it back when the kernel writes. Every wire leg
-// rides the calibrated one-sided ops, so the route is charged exactly
-// what an RDMA read-modify-write of the region costs plus local compute.
-// The staging slot is private to this pull — overlapping pulls of a
-// windowed stream each hold their own slot, so one pull's GET can never
-// land in a region another pull is still executing against.
-//
-// Staging negotiates against the region cache (see region.go): a live
-// entry whose version matches the owner's elides the GET entirely, a
-// stale one fetches only the changed chunks via a vectored GetV (with a
-// whole-region fallback when the per-segment framing would not undercut
-// the region), and everything else pays the pre-cache whole-region GET.
-// Whatever the mode, the staged bytes equal what a whole-region GET
-// would have returned, so guest outcomes are identical cache-on vs
-// cache-off; only wire bytes and virtual time move.
+// offloadPull is the pull-data route: GET the whole region into a
+// staging slot, execute against the staged copy, PUT the dirty bytes
+// back when the kernel writes. Every wire leg rides the calibrated
+// one-sided ops, so the route is charged exactly what an RDMA
+// read-modify-write of the region costs plus local compute. The staging
+// slot is private to this pull — overlapping pulls of a windowed stream
+// each hold their own slot, so one pull's GET can never land in a region
+// another pull is still executing against.
 func (r *Runtime) offloadPull(dst int, h *Handle, entry uint16, payload []byte, opts OffloadOpts, track bool) (*sim.Signal, *sim.Signal, error) {
 	if opts.DataSize == 0 || opts.DataSize > pullArena {
 		return nil, nil, fmt.Errorf("%w: %d bytes (pull arena %d)", ErrBadRegion, opts.DataSize, pullArena)
@@ -543,79 +507,25 @@ func (r *Runtime) offloadPull(dst int, h *Handle, entry uint16, payload []byte, 
 	ep := r.ep(dst)
 	key := r.heapKeys[dst]
 	size := opts.DataSize
+	r.Stats.PullGetBytes += size
 	r.Stats.PullGetFullBytes += size
-
-	// Negotiate the transfer form against the staged entry — zero-cost
-	// virtual-time peeks, exactly like the CAS send negotiation. The
-	// owner starts versioning this region on first pull; the entry (when
-	// live) is pinned for the pull's flight so budget pressure from
-	// concurrent interns can never evict a snapshot mid-use.
-	peer := r.regionPeer(dst)
-	var (
-		ownerVer uint64
-		cached   *regionEntry
-		pinned   bool
-		elide    bool
-		getSegs  []ucx.GetSeg
-	)
-	if peer != nil {
-		peer.regionClock.Track(opts.DataAddr, size)
-		ownerVer, _ = peer.regionClock.Version(opts.DataAddr, size)
-		if cached = r.regionEntryFor(dst, opts.DataAddr, size, true); cached != nil {
-			r.Store.Pin(cached.storeHash)
-			pinned = true
-			if cached.version == ownerVer {
-				elide = true
-			} else {
-				cur := peer.Node.Mem()[opts.DataAddr : opts.DataAddr+size]
-				getSegs = staleSegments(cached.snapshot, cur, cached.chunks)
-				switch {
-				case len(getSegs) == 0:
-					// Conservative version bump, nothing actually changed:
-					// refresh the entry and elide after all.
-					cached.version = ownerVer
-					elide = true
-				case ucx.GetVWireBytes(getSegs) >= int(size):
-					// The chunk framing would not undercut the region.
-					getSegs = nil
-				}
-			}
-		}
+	if r.Trace != nil {
+		r.Trace.Instant(obs.TrackCore, "pull-get", r.eng().Now()).
+			Arg("bytes", size).Arg("dst", uint64(dst))
 	}
 
-	fail := func(st ucx.Status) {
-		if pinned {
-			r.Store.Unpin(cached.storeHash)
-		}
-		r.releasePullSlot(slot)
-		r.LastExecErr = fmt.Errorf("core: offload pull %s: %v", h.Name, st)
-		r.Stats.ExecErrors++
-		if execSig != nil {
-			execSig.Fire(0)
-		}
-		done.Fire(uint64(st))
-	}
-
-	// exec runs on the local core once the staged image is known: preImg
-	// is exactly what a whole-region GET would have returned, and nothing
-	// mutates it after staging (the guest runs against the slot copy), so
-	// it doubles as the write-back diff baseline.
+	// exec runs on the local core once the GET has landed: preImg is the
+	// owner's region as fetched, and nothing mutates it after staging (the
+	// guest runs against the slot copy), so it doubles as the write-back
+	// diff baseline.
 	exec := func(preImg []byte) {
 		mem := r.Node.Mem()
 		copy(mem[slot:], preImg)
 		v := r.executeOne(reg, entry, payload, slot)
 		if !opts.WriteBack {
-			// The owner's region is untouched: the staged image is current
-			// as of the version read at launch. Intern it as the cache
-			// entry, then release once the modeled execution window has
-			// elapsed — the slot is "in use" for as long as the core is
-			// charged as executing against it.
-			if peer != nil {
-				r.regionCacheStore(dst, opts.DataAddr, size, preImg, ownerVer)
-			}
-			if pinned {
-				r.Store.Unpin(cached.storeHash)
-			}
+			// Release once the modeled execution window has elapsed — the
+			// slot is "in use" for as long as the core is charged as
+			// executing against it.
 			r.Node.ExecCPU(0, func() {
 				r.releasePullSlot(slot)
 				if execSig != nil {
@@ -630,8 +540,8 @@ func (r *Runtime) offloadPull(dst int, h *Handle, entry uint16, payload []byte, 
 		// against the pre-execution image and PUT only the dirty ranges,
 		// in one vectored op. When the delta plus its descriptors would
 		// not undercut the region, fall back to the whole-region put; when
-		// the kernel dirtied nothing, skip the put entirely. The dirty
-		// bytes are snapshotted out of the slot now (the slot recycles at
+		// the kernel dirtied nothing, skip the put entirely. The bytes to
+		// send are snapshotted out of the slot now (the slot recycles at
 		// completion); the observation feeds the planner's write-back
 		// pricing.
 		staged := mem[slot : slot+size]
@@ -645,6 +555,7 @@ func (r *Runtime) offloadPull(dst int, h *Handle, entry uint16, payload []byte, 
 		case len(segs) == 0:
 			// Clean region: nothing to write back.
 		case putWire >= int(size):
+			back = append([]byte(nil), staged...)
 			putPayload = int(size)
 		default:
 			vsegs = snapshotSegs(segs)
@@ -656,117 +567,38 @@ func (r *Runtime) offloadPull(dst int, h *Handle, entry uint16, payload []byte, 
 			r.Trace.Instant(obs.TrackCore, "write-back", r.eng().Now()).
 				Arg("put", uint64(putPayload)).Arg("full", uint64(size))
 		}
-		// Cache maintenance: once the write-back lands, the owner's region
-		// equals the staged bytes — intern them now (the slot recycles),
-		// provisionally versioned 0 while a PUT is in flight; the real
-		// owner version is stamped at PUT completion, after the write has
-		// bumped the owner's clock. A clean execution leaves the owner
-		// untouched, so the launch-read version is already right.
-		var newE *regionEntry
-		if peer != nil {
-			ver := uint64(0)
-			if putPayload == 0 {
-				ver = ownerVer
-			}
-			newE = r.regionCacheStore(dst, opts.DataAddr, size, staged, ver)
-		}
-		if putPayload == int(size) {
-			// Whole-region fallback: reuse the interned snapshot as the
-			// wire buffer when available (it is immutable), else copy.
-			if newE != nil {
-				back = newE.snapshot
-			} else {
-				back = append([]byte(nil), staged...)
-			}
-		}
-		if pinned {
-			r.Store.Unpin(cached.storeHash)
-		}
-		stamp := func(ps *sim.Signal) {
-			if newE != nil && ucx.Status(ps.Value()) == ucx.OK {
-				if ver, ok := peer.regionClock.Version(opts.DataAddr, size); ok {
-					newE.version = ver
-				}
-			}
-			done.Fire(ps.Value())
-		}
 		r.Node.ExecCPU(0, func() {
 			r.releasePullSlot(slot)
 			if execSig != nil {
 				execSig.Fire(v)
 			}
+			var ps *sim.Signal
 			switch {
 			case back != nil:
-				ps := ep.Put(back, opts.DataAddr, key)
-				ps.OnFire(func() { stamp(ps) })
+				ps = ep.Put(back, opts.DataAddr, key)
 			case vsegs != nil:
-				ps := ep.PutV(vsegs, opts.DataAddr, key)
-				ps.OnFire(func() { stamp(ps) })
+				ps = ep.PutV(vsegs, opts.DataAddr, key)
 			default:
 				done.Fire(uint64(ucx.OK))
+				return
 			}
+			ps.OnFire(func() { done.Fire(ps.Value()) })
 		})
 	}
 
-	switch {
-	case elide:
-		// Version hit: no wire legs at all — execution starts on the
-		// local core immediately, against the cached snapshot.
-		r.Stats.RegionElides++
-		if r.Trace != nil {
-			r.Trace.Instant(obs.TrackCore, "region-elide", r.eng().Now()).
-				Arg("bytes", size).Arg("dst", uint64(dst))
-		}
-		snap := cached.snapshot
-		r.Node.ExecCPU(regCost, func() { exec(snap) })
-	case getSegs != nil:
-		// Stale entry: fetch only the changed chunks, one vectored round
-		// trip, and scatter them over the cached snapshot.
-		wire := ucx.GetVWireBytes(getSegs)
-		r.Stats.RegionDeltaPulls++
-		r.Stats.PullGetBytes += uint64(wire)
-		reg.ObserveGetBytes(float64(wire))
-		if r.Trace != nil {
-			r.Trace.Instant(obs.TrackCore, "region-delta", r.eng().Now()).
-				Arg("wire", uint64(wire)).Arg("bytes", size)
-		}
-		op := ep.GetV(opts.DataAddr, getSegs, key)
-		op.Done.OnFire(func() {
-			if st := ucx.Status(op.Done.Value()); st != ucx.OK {
-				fail(st)
-				return
+	op := ep.Get(opts.DataAddr, int(size), key)
+	op.Done.OnFire(func() {
+		if st := ucx.Status(op.Done.Value()); st != ucx.OK {
+			r.releasePullSlot(slot)
+			r.LastExecErr = fmt.Errorf("core: offload pull %s: %v", h.Name, st)
+			r.Stats.ExecErrors++
+			if execSig != nil {
+				execSig.Fire(0)
 			}
-			r.Node.ExecCPU(regCost, func() {
-				preImg := make([]byte, size)
-				copy(preImg, cached.snapshot)
-				for _, s := range op.Segs {
-					copy(preImg[s.Off:], s.Data)
-				}
-				exec(preImg)
-			})
-		})
-	default:
-		// Whole-region GET: cold pull, evicted or absent entry, vectored
-		// framing not worth it, or region cache ineligible/disabled.
-		r.Stats.PullGetBytes += uint64(size)
-		if r.Trace != nil {
-			r.Trace.Instant(obs.TrackCore, "pull-get", r.eng().Now()).
-				Arg("bytes", size).Arg("dst", uint64(dst))
+			done.Fire(uint64(st))
+			return
 		}
-		if cached != nil {
-			// A stale pull that fell back still teaches the planner what
-			// stale re-pulls of this type fetch; cold pulls do not (the
-			// estimate prices stale entries, absent ones pay the region).
-			reg.ObserveGetBytes(float64(size))
-		}
-		op := ep.Get(opts.DataAddr, int(size), key)
-		op.Done.OnFire(func() {
-			if st := ucx.Status(op.Done.Value()); st != ucx.OK {
-				fail(st)
-				return
-			}
-			r.Node.ExecCPU(regCost, func() { exec(op.Data) })
-		})
-	}
+		r.Node.ExecCPU(regCost, func() { exec(op.Data) })
+	})
 	return done, execSig, nil
 }

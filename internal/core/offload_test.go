@@ -8,6 +8,7 @@ package core
 import (
 	"testing"
 
+	"threechains/internal/ifunc"
 	"threechains/internal/ir"
 	"threechains/internal/isa"
 	"threechains/internal/mcode"
@@ -625,4 +626,76 @@ func readLE(b []byte) uint64 {
 		v |= uint64(b[i]) << (8 * i)
 	}
 	return v
+}
+
+// TestShipFramePricedBytesMatchWire is the frame-pricing regression: for
+// every negotiated frame form — full, 26-byte truncated, 43-byte
+// hash-ref — the planner's Request.FrameBytes equals the byte count the
+// ship route actually transmits (buildFrame's output), so ship pricing
+// can never drift from the wire.
+func TestShipFramePricedBytesMatchWire(t *testing.T) {
+	// Four nodes: building a frame marks the sender's pairwise cache
+	// (exactly like a real send), so each negotiated form gets its own
+	// sender runtime and the probes never contaminate each other.
+	specs := make([]NodeSpec, 4)
+	for i, n := range []string{"a", "b", "f", "dst"} {
+		specs[i] = NodeSpec{Name: n, March: isa.XeonE5()}
+	}
+	c := NewCluster(testParams(), specs)
+	a, b, f, dst := c.Runtime(0), c.Runtime(1), c.Runtime(2), c.Runtime(3)
+	dst.TargetPtr = dst.Node.Alloc(8)
+	ha, err := a.RegisterBitcode("m", BuildTSI(), allTriples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb, err := b.RegisterBitcode("m", BuildTSI(), allTriples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hf, err := f.RegisterBitcode("m", BuildTSI(), allTriples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte{0}
+	check := func(label string, r *Runtime, h *Handle, wantLen int) {
+		t.Helper()
+		entry, err := h.EntryIndex("main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, _ := r.buildRequest(3, h, entry, payload, OffloadOpts{})
+		frame, err := r.buildFrame(3, h, entry, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frame) != wantLen {
+			t.Fatalf("%s: frame is %d bytes, scenario wants %d", label, len(frame), wantLen)
+		}
+		if req.FrameBytes != len(frame) {
+			t.Fatalf("%s: planner priced %d frame bytes, wire carries %d",
+				label, req.FrameBytes, len(frame))
+		}
+	}
+
+	// Cold: nothing at dst — full frame, priced as full.
+	check("full", f, hf, ifunc.FullLen(len(payload), hf.CodeSize(dst.Node.March.Triple.Arch)))
+
+	// A's real send installs the type at dst: A reprices as truncated.
+	if _, err := a.Send(3, ha, "main", payload); err != nil {
+		t.Fatal(err)
+	}
+	c.Run()
+	check("truncated", a, ha, ifunc.TruncatedLen(len(payload)))
+
+	// Hash-ref: dst pins the same content under its own type name, but
+	// the type itself is deregistered there (A's registration revoked),
+	// so B's cold negotiation sees content-only residency — the 43-byte
+	// form.
+	if _, err := dst.RegisterBitcode("m2", BuildTSI(), allTriples); err != nil {
+		t.Fatal(err)
+	}
+	if !dst.DeregisterLocal(ha.Hash) {
+		t.Fatal("deregister at dst failed")
+	}
+	check("hash-ref", b, hb, ifunc.HashRefLen(len(payload)))
 }

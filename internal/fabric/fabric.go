@@ -143,12 +143,6 @@ type Node struct {
 	// Stats are cumulative counters for reports.
 	Stats NodeStats
 
-	// OnWrite, when set, observes every successful WriteMem — one-sided
-	// PUT/PutV application and any other NIC-side memory write. The
-	// runtime installs it to bump region version counters; it runs inside
-	// the write event, so observations are deterministic.
-	OnWrite func(addr uint64, n int)
-
 	// Trace, when set, receives this node's virtual-time spans and
 	// events (obs). Nil costs one compare per instrumented site; the
 	// field is written only from this node's dispatch context, matching
@@ -356,9 +350,6 @@ func (n *Node) WriteMem(addr uint64, data []byte) error {
 			addr, len(data), n.Name)
 	}
 	copy(n.mem[addr:], data)
-	if n.OnWrite != nil {
-		n.OnWrite(addr, len(data))
-	}
 	return nil
 }
 

@@ -51,15 +51,6 @@ type Registration struct {
 	// charged for 32 KiB.
 	putEWMA float64
 	putObs  uint64
-	// getEWMA mirrors putEWMA for the pull direction: the decayed mean
-	// GET payload (response bytes beyond the header, segment descriptors
-	// included) one pull-route execution of this type actually fetched
-	// once the region cache negotiated away current chunks. Version hits
-	// (full elisions) are not folded in — they are priced separately as
-	// zero — so the estimate stays the expected residual of a *stale*
-	// re-pull.
-	getEWMA float64
-	getObs  uint64
 	// Machine is the reusable execution context the runtime binds to this
 	// registration on first execution. Reusing it (with its pooled
 	// register files) keeps the per-message hot path allocation-free;
@@ -124,27 +115,6 @@ func (r *Registration) MeanPutBytes() (mean float64, ok bool) {
 		return 0, false
 	}
 	return r.putEWMA, true
-}
-
-// ObserveGetBytes folds one stale pull's transmitted GET payload (the
-// chunk-delta bytes, or the whole region on the vectored-framing
-// fallback and on cold pulls) into the decayed estimate.
-func (r *Registration) ObserveGetBytes(b float64) {
-	if r.getObs == 0 {
-		r.getEWMA = b
-	} else {
-		r.getEWMA += stepAlpha * (b - r.getEWMA)
-	}
-	r.getObs++
-}
-
-// MeanGetBytes returns the decayed mean GET payload of one stale
-// pull-route execution; ok is false before the first observation.
-func (r *Registration) MeanGetBytes() (mean float64, ok bool) {
-	if r.getObs == 0 {
-		return 0, false
-	}
-	return r.getEWMA, true
 }
 
 // EntryName resolves a frame entry index.

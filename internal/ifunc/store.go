@@ -10,8 +10,8 @@ import (
 // raw bytes, computed without allocating (unlike hash/fnv's heap-backed
 // state). It produces exactly the same values as hash/fnv's New64a, so
 // hashes are stable across the codebase and across PRs. Hashing happens
-// only on cold paths (registration, intern, pull snapshot); the warm
-// send path reuses hashes memoized on handles and registrations.
+// only on cold paths (registration, intern); the warm send path reuses
+// hashes memoized on handles and registrations.
 func ContentHash(b []byte) uint64 {
 	h := uint64(fnvOffset64)
 	for _, c := range b {
@@ -47,6 +47,17 @@ func (h *Hasher) Write(b []byte) {
 // Sum64 returns the current hash.
 func (h Hasher) Sum64() uint64 { return uint64(h) }
 
+// RegionChunkBytes is kept only because benchmark/ reads it; no program code sets or reads it.
+const RegionChunkBytes = 256
+
+// AppendChunkHashes is kept only because benchmark/ reads it; no program code sets or reads it.
+func AppendChunkHashes(dst []uint64, b []byte) []uint64 {
+	for off := 0; off < len(b); off += RegionChunkBytes {
+		dst = append(dst, ContentHash(b[off:min(off+RegionChunkBytes, len(b))]))
+	}
+	return dst
+}
+
 // BlobKind discriminates what a store entry holds.
 type BlobKind uint8
 
@@ -54,10 +65,6 @@ const (
 	// BlobCode is a shipped code section (fat-bitcode archive or per-ISA
 	// object) — the unit the caching protocol dedups cluster-wide.
 	BlobCode BlobKind = 1
-	// BlobData is a staged data-region snapshot (pull-route GET images),
-	// interned so identical regions share one buffer and so the store's
-	// byte budget covers data staging too.
-	BlobData BlobKind = 2
 )
 
 // StoreStats counts store activity for reports.
@@ -83,22 +90,19 @@ const DefaultEvictLogCap = 4096
 // determinism tests can compare eviction sequences bit-for-bit across
 // runs, engines and shard counts.
 type EvictRecord struct {
-	Hash uint64
-	// Kind distinguishes evicted code blobs from staged region snapshots
-	// — the two kinds share one LRU, and budget-interplay tests assert
-	// the mix, not just the sequence.
+	Hash  uint64
 	Kind  BlobKind
 	Bytes int
 	At    sim.Time
 }
 
 // Store is the per-node content-addressed store behind the cluster-wide
-// caching protocol: every code section (and staged data snapshot) lives
-// here exactly once, keyed by ContentHash. Registrations and source
-// handles pin their blobs (refcounts); a sender may elide or
-// hash-reference a code section only while the destination holds it
-// *pinned* — refcount-routed invalidation, so a deregistered module can
-// never be truncated-sent on the strength of a stale third-party "have".
+// caching protocol: every code section lives here exactly once, keyed
+// by ContentHash. Registrations and source handles pin their blobs
+// (refcounts); a sender may elide or hash-reference a code section only
+// while the destination holds it *pinned* — refcount-routed
+// invalidation, so a deregistered module can never be truncated-sent on
+// the strength of a stale third-party "have".
 //
 // Budget bounds resident bytes: when an Intern pushes the total past
 // Budget, unpinned blobs are evicted least-recently-used first, with
@@ -208,18 +212,6 @@ func (s *Store) Get(hash uint64) ([]byte, bool) {
 	return bl.data, true
 }
 
-// Peek returns the canonical bytes for hash without touching LRU
-// recency — the pricing probe (the planner's what-would-a-pull-cost
-// question must not perturb the eviction order the way a real use
-// does).
-func (s *Store) Peek(hash uint64) ([]byte, bool) {
-	bl, ok := s.blobs[hash]
-	if !ok {
-		return nil, false
-	}
-	return bl.data, true
-}
-
 // Contains reports residency without touching recency.
 func (s *Store) Contains(hash uint64) bool {
 	_, ok := s.blobs[hash]
@@ -234,16 +226,6 @@ func (s *Store) Contains(hash uint64) bool {
 func (s *Store) HasPinned(hash uint64) bool {
 	bl, ok := s.blobs[hash]
 	return ok && bl.pins > 0
-}
-
-// Pin adds a reference to hash, reporting whether it was resident.
-func (s *Store) Pin(hash uint64) bool {
-	bl, ok := s.blobs[hash]
-	if !ok {
-		return false
-	}
-	bl.pins++
-	return true
 }
 
 // Unpin drops a reference. The blob stays resident (budget permitting)

@@ -180,7 +180,7 @@ func TestStorePinnedBlobsSurviveBudget(t *testing.T) {
 		*now += 5
 		b := make([]byte, 64)
 		b[0] = byte(i + 1)
-		s.Intern(ContentHash(b), BlobData, b, 0)
+		s.Intern(ContentHash(b), BlobCode, b, 0)
 	}
 	if _, ok := s.Get(hp); !ok {
 		t.Fatal("pinned blob evicted")

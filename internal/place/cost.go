@@ -103,26 +103,6 @@ func putBytesFor(req Request) int {
 	return req.DataBytes
 }
 
-// GetElided is the Request.GetBytes sentinel for a region-cache version
-// hit: the staged copy is current, so the pull route pays no GET at all
-// (the version check is a zero-cost virtual-time peek, like the CAS
-// negotiation's store probe).
-const GetElided = -1
-
-// getBytesFor is the modeled GET response payload: zero legs on a
-// version hit, the measured chunk-delta residual (Request.GetBytes, from
-// the registration's stale-pull EWMA) when known and smaller than the
-// region, the whole region otherwise.
-func getBytesFor(req Request) (bytes int, elide bool) {
-	if req.GetBytes < 0 {
-		return 0, true
-	}
-	if req.GetBytes > 0 && req.GetBytes < req.DataBytes {
-		return req.GetBytes, false
-	}
-	return req.DataBytes, false
-}
-
 // ShipCost models the ship-code route: post the frame (truncated or full,
 // req.FrameBytes carries the caching protocol's answer), cross the wire,
 // pay the receiver's NIC write + poll pickup, register if the code is not
@@ -177,17 +157,13 @@ func (m CostModel) shipQueued(req Request, q *queueState) (sim.Time, claims) {
 // the estimate equals PullCost exactly.
 func (m CostModel) pullQueued(req Request, q *queueState) (sim.Time, claims) {
 	var c claims
-	get, elide := getBytesFor(req)
-	dataReady := req.Now
-	if !elide {
-		reqStart := max(req.Now, q.nicOut)
-		c.nicOut = reqStart + m.txTime(ucx.GetReqBytes)
-		respAtNIC := reqStart + m.Net.SendOverhead + m.Net.WireTime(ucx.GetReqBytes) + m.Net.NICOverhead +
-			m.Net.SendOverhead + m.Net.WireTime(ucx.GetRespBytes+get)
-		inStart := max(respAtNIC, q.nicIn)
-		c.nicIn = inStart + m.rxGap(ucx.GetRespBytes+get)
-		dataReady = inStart + m.Net.NICOverhead + m.Net.RecvOverhead/2
-	}
+	reqStart := max(req.Now, q.nicOut)
+	c.nicOut = reqStart + m.txTime(ucx.GetReqBytes)
+	respAtNIC := reqStart + m.Net.SendOverhead + m.Net.WireTime(ucx.GetReqBytes) + m.Net.NICOverhead +
+		m.Net.SendOverhead + m.Net.WireTime(ucx.GetRespBytes+req.DataBytes)
+	inStart := max(respAtNIC, q.nicIn)
+	c.nicIn = inStart + m.rxGap(ucx.GetRespBytes+req.DataBytes)
+	dataReady := inStart + m.Net.NICOverhead + m.Net.RecvOverhead/2
 	fan := req.LocalRegFanout
 	if fan < 1 {
 		fan = 1
@@ -225,15 +201,9 @@ func (m CostModel) localQueued(req Request, q *queueState) claims {
 // charges), registration on the local side if needed, local execution,
 // and a one-sided PUT of the region when the kernel writes.
 func (m CostModel) PullCost(req Request) sim.Time {
-	var t sim.Time
-	// The region cache's negotiated residual: a version hit elides the
-	// GET round trip entirely; a stale staged copy pays the round trip
-	// for the measured chunk-delta bytes instead of the whole region.
-	if get, elide := getBytesFor(req); !elide {
-		t = m.Net.SendOverhead + m.Net.WireTime(ucx.GetReqBytes) + m.Net.NICOverhead
-		t += m.Net.SendOverhead + m.Net.WireTime(ucx.GetRespBytes+get) +
-			m.Net.NICOverhead + m.Net.RecvOverhead/2
-	}
+	t := m.Net.SendOverhead + m.Net.WireTime(ucx.GetReqBytes) + m.Net.NICOverhead
+	t += m.Net.SendOverhead + m.Net.WireTime(ucx.GetRespBytes+req.DataBytes) +
+		m.Net.NICOverhead + m.Net.RecvOverhead/2
 	// A cold local registration is an investment that serves pulls to
 	// every destination, unlike the remote JIT a cold ship pays per
 	// destination: amortize it over the fan-out.

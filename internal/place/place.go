@@ -126,14 +126,7 @@ type Request struct {
 	// when the type has pulled before, the whole region otherwise.
 	// 0 means unknown — the model falls back to DataBytes.
 	PutBytes int
-	// GetBytes is the predicted GET response payload of the pull route —
-	// what the wire will actually carry once the region cache negotiates:
-	// GetElided when the staged copy's version matches (the GET is elided
-	// entirely and the model drops both wire legs), the measured
-	// chunk-delta residual (Registration.MeanGetBytes) when the staged
-	// copy is stale, the whole region when nothing is staged. 0 means
-	// unknown — the model falls back to DataBytes, the pre-cache
-	// behavior.
+	// GetBytes is kept only because benchmark/ reads it; no program code sets or reads it.
 	GetBytes int
 	// TypeHash identifies the ifunc type for the planner's per-(type,
 	// dst) demand tracking (investment-aware ship amortization). 0

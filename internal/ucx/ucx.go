@@ -408,114 +408,6 @@ func (ep *Endpoint) Get(addr uint64, size int, key RKey) *GetOp {
 	return op
 }
 
-// GetSeg is one segment of a vectored GetV request: Off is the byte
-// offset from the operation's base address, Len the byte count to fetch.
-type GetSeg struct {
-	Off, Len int
-}
-
-// GetSegHeaderBytes is the per-segment wire descriptor of GetV — a
-// 64-bit offset and a 32-bit length, the exact mirror of PutV's
-// descriptor. It appears twice per segment on the wire: once in the
-// request (which chunks to read) and once framing the response data
-// (which bytes these are).
-const GetSegHeaderBytes = 12
-
-// GetVWireBytes returns the response payload of a vectored get carrying
-// the given segments (excluding the fixed GetRespBytes): descriptor plus
-// data per segment — the quantity the region cache compares against a
-// whole-region Get when deciding whether a chunk delta is worth the
-// framing, and the quantity the placement cost model prices.
-func GetVWireBytes(segs []GetSeg) int {
-	n := 0
-	for _, s := range segs {
-		n += GetSegHeaderBytes + s.Len
-	}
-	return n
-}
-
-// GetVOp is an in-flight vectored GET: Done fires with a Status; Segs
-// holds the fetched segments (offset + bytes, in request order) on
-// success, ready to scatter into the caller's staged copy.
-type GetVOp struct {
-	Done *sim.Signal
-	Segs []PutSeg
-}
-
-// GetV fetches several discontiguous segments from remote memory at
-// addr+seg.Off in one one-sided request/response round trip: the request
-// carries a 12-byte descriptor per segment, the target NIC gathers the
-// reads, and the response frames each segment with the same descriptor —
-// one round trip regardless of segment count, which is what makes a
-// chunk-granular re-pull cheaper than a whole-region Get whenever the
-// stale bytes (plus descriptors) undercut the region size. Fails as a
-// unit (ErrAccess) if any segment misses the registered window.
-func (ep *Endpoint) GetV(addr uint64, segs []GetSeg, key RKey) *GetVOp {
-	params := ep.W.Ctx.Net.Params
-	op := &GetVOp{Done: ep.W.Node.Eng().NewSignal()}
-	req := make([]byte, GetReqBytes+GetSegHeaderBytes*len(segs))
-	off := GetReqBytes
-	for _, s := range segs {
-		binary.LittleEndian.PutUint64(req[off:], uint64(s.Off))
-		binary.LittleEndian.PutUint32(req[off+8:], uint32(s.Len))
-		off += GetSegHeaderBytes
-	}
-	ep.W.Node.Send(ep.Peer.Node, req, nil, func(msg *fabric.Message) {
-		// The pooled message dies with this handler: capture the
-		// descriptor slice.
-		desc := msg.Data[GetReqBytes:]
-		msg.Dst.Eng().After(params.NICOverhead, func() {
-			respLen := GetRespBytes
-			for p := desc; len(p) >= GetSegHeaderBytes; p = p[GetSegHeaderBytes:] {
-				respLen += GetSegHeaderBytes + int(binary.LittleEndian.Uint32(p[8:]))
-			}
-			resp := make([]byte, respLen)
-			w := resp[GetRespBytes:]
-			for p := desc; len(p) >= GetSegHeaderBytes; p = p[GetSegHeaderBytes:] {
-				segOff := binary.LittleEndian.Uint64(p)
-				segLen := int(binary.LittleEndian.Uint32(p[8:]))
-				if !ep.Peer.checkAccess(key, addr+segOff, segLen) {
-					ep.Peer.Node.Send(ep.W.Node, make([]byte, 16), nil, func(*fabric.Message) {
-						op.Done.Fire(uint64(ErrAccess))
-					})
-					return
-				}
-				data, err := ep.Peer.Node.ReadMem(addr+segOff, segLen)
-				if err != nil {
-					ep.Peer.Node.Send(ep.W.Node, make([]byte, 16), nil, func(*fabric.Message) {
-						op.Done.Fire(uint64(ErrAccess))
-					})
-					return
-				}
-				copy(w, p[:GetSegHeaderBytes])
-				copy(w[GetSegHeaderBytes:], data)
-				w = w[GetSegHeaderBytes+segLen:]
-			}
-			ep.Peer.Node.Send(ep.W.Node, resp, nil, func(m *fabric.Message) {
-				// Same completion shape as Get: response NIC processing
-				// plus the initiator's CQ poll. The pooled message dies
-				// with this handler: capture the payload slice.
-				payload := m.Data[GetRespBytes:]
-				m.Dst.Eng().After(params.NICOverhead, func() {
-					ep.W.Node.ExecCPU(params.RecvOverhead/2, func() {
-						for p := payload; len(p) >= GetSegHeaderBytes; {
-							segOff := binary.LittleEndian.Uint64(p)
-							segLen := int(binary.LittleEndian.Uint32(p[8:]))
-							op.Segs = append(op.Segs, PutSeg{
-								Off:  int(segOff),
-								Data: p[GetSegHeaderBytes : GetSegHeaderBytes+segLen],
-							})
-							p = p[GetSegHeaderBytes+segLen:]
-						}
-						op.Done.Fire(uint64(OK))
-					})
-				})
-			})
-		})
-	})
-	return op
-}
-
 // SendAM delivers an active message to the peer's registered handler.
 // The signal fires with a Status after the remote handler dispatch.
 func (ep *Endpoint) SendAM(id uint32, header uint64, payload []byte) *sim.Signal {

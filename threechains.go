@@ -263,12 +263,6 @@ type (
 	ScaleScenario = bench.ScaleScenario
 	// ScaleResult is one scenario row of the shard-count scaling sweep.
 	ScaleResult = bench.ScaleResult
-	// RegionCacheResult is one (region size, dirty span) row of the
-	// data-region cache sweep.
-	RegionCacheResult = bench.RegionCacheResult
-	// RegionCachePoint is one cache mode's outcome on a repeat-pull
-	// scenario of the region-cache sweep.
-	RegionCachePoint = bench.RegionCachePoint
 )
 
 // GenerateWorkload builds the deterministic scenario for the params
@@ -299,14 +293,6 @@ func GenerateScaleWorkload(p ScaleParams) *ScaleWorkload { return place.Generate
 // speedup per count (see cmd/paperbench -scale).
 func ScaleSweep(p Profile) ([]ScaleResult, error) {
 	return bench.ScaleSweep(p, nil, nil)
-}
-
-// RegionCacheSweep runs the data-region cache repeat-pull grid (region
-// sizes × dirty spans) under cache-on vs cache-off on a testbed profile,
-// asserting guest outcomes mode-invariant and reporting the GET-byte
-// saving per row (see cmd/paperbench -regioncache).
-func RegionCacheSweep(p Profile) ([]RegionCacheResult, error) {
-	return bench.RegionCacheSweep(p)
 }
 
 // Observability: deterministic virtual-time tracing and the unified
