@@ -187,12 +187,12 @@ func newDAPCWorld(cfg DAPCConfig, mode DAPCMode) (*dapcWorld, error) {
 	if clientMarch == nil {
 		clientMarch = cfg.Profile.March
 	}
-	specs := []core.NodeSpec{{Name: "client", March: clientMarch(), Engine: cfg.Profile.Engine}}
+	specs := []core.NodeSpec{{Name: "client", March: clientMarch(), MemBytes: nodeMem, Engine: cfg.Profile.Engine}}
 	for i := 0; i < cfg.Servers; i++ {
 		specs = append(specs, core.NodeSpec{
 			Name:     fmt.Sprintf("server%d", i),
 			March:    cfg.Profile.March(),
-			MemBytes: 16<<20 + cfg.EntriesPerServer*8,
+			MemBytes: nodeMem + cfg.EntriesPerServer*8,
 			Engine:   cfg.Profile.Engine,
 		})
 	}

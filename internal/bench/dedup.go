@@ -72,7 +72,7 @@ type DedupResult struct {
 func runDedupFanin(p testbed.Profile, senders int, sharedName, disableCAS bool) (DedupPoint, error) {
 	specs := make([]core.NodeSpec, senders+1)
 	for i := range specs {
-		specs[i] = core.NodeSpec{Name: fmt.Sprintf("%s-n%d", p.Name, i), March: p.March(), Engine: p.Engine}
+		specs[i] = core.NodeSpec{Name: fmt.Sprintf("%s-n%d", p.Name, i), March: p.March(), MemBytes: nodeMem, Engine: p.Engine}
 	}
 	cl := core.NewCluster(p.Net, specs)
 	for _, rt := range cl.Runtimes {

@@ -243,7 +243,7 @@ func buildWorkloadKernel(t place.TypeSpec) *ir.Module {
 func newPlacementWorld(p testbed.Profile, w *place.Workload, engine string) (*placementWorld, error) {
 	specs := make([]core.NodeSpec, len(w.RegionWords))
 	for i := range specs {
-		specs[i] = core.NodeSpec{Name: fmt.Sprintf("%s-n%d", p.Name, i), March: p.March(), Engine: engine}
+		specs[i] = core.NodeSpec{Name: fmt.Sprintf("%s-n%d", p.Name, i), March: p.March(), MemBytes: nodeMem, Engine: engine}
 	}
 	cl := core.NewCluster(p.Net, specs)
 	pw := &placementWorld{cl: cl, drv: cl.Runtime(0), w: w, triples: p.Triples}

@@ -154,9 +154,10 @@ func newScaleWorld(p testbed.Profile, sw *place.ScaleWorkload, shards int, cross
 	specs := make([]core.NodeSpec, total)
 	for i := range specs {
 		specs[i] = core.NodeSpec{
-			Name:   fmt.Sprintf("%s-g%d-n%d", p.Name, i/gn, i%gn),
-			March:  p.March(),
-			Engine: p.Engine,
+			Name:     fmt.Sprintf("%s-g%d-n%d", p.Name, i/gn, i%gn),
+			March:    p.March(),
+			MemBytes: nodeMem,
+			Engine:   p.Engine,
 		}
 	}
 	shardOf := func(node int) int { return (node / gn) % shards }

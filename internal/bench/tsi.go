@@ -26,6 +26,11 @@ import (
 	"threechains/internal/ucx"
 )
 
+// nodeMem is the heap of every scenario node except the DAPC servers,
+// which add their table to the same 1 MiB base. Every scenario sets its
+// node heaps explicitly, so no result depends on core.DefaultMemBytes.
+const nodeMem = 1 << 20
+
 // TSIMode selects the code-movement mode of the TSI microbenchmark.
 type TSIMode int
 
@@ -103,8 +108,8 @@ type tsiWorld struct {
 func newTSIWorld(p testbed.Profile, mode TSIMode) (*tsiWorld, error) {
 	march := p.March()
 	cl := core.NewCluster(p.Net, []core.NodeSpec{
-		{Name: p.Name + "-src", March: p.March(), Engine: p.Engine},
-		{Name: p.Name + "-dst", March: march, Engine: p.Engine},
+		{Name: p.Name + "-src", March: p.March(), MemBytes: nodeMem, Engine: p.Engine},
+		{Name: p.Name + "-dst", March: march, MemBytes: nodeMem, Engine: p.Engine},
 	})
 	w := &tsiWorld{cluster: cl, src: cl.Runtime(0), dst: cl.Runtime(1), mode: mode}
 	for _, rt := range cl.Runtimes {

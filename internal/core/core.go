@@ -45,11 +45,19 @@ var (
 	ErrNotRunnable = errors.New("core: frame has no code and type is unknown")
 )
 
+// DefaultMemBytes is the heap of a node whose spec leaves MemBytes 0:
+// 1 MiB, of which the top quarter is the guest stack. Every node's heap
+// is allocated and zeroed up front, so the default bounds what a world
+// of many nodes costs the host. 1 MiB is the smallest power of two at
+// which every test and example passes (examples/dpufilter places a
+// 512 KiB table on one node).
+const DefaultMemBytes = 1 << 20
+
 // NodeSpec describes one cluster node.
 type NodeSpec struct {
 	Name  string
 	March *isa.MicroArch
-	// MemBytes is the node heap size (0 = 16 MiB default).
+	// MemBytes is the node heap size (0 = DefaultMemBytes).
 	MemBytes int
 	// Engine selects the node's execution backend by mcode registry name
 	// ("superblock", "closure", "interp", "adaptive"; "" =
@@ -101,7 +109,7 @@ func NewShardedCluster(params fabric.NetParams, nodes []NodeSpec, shards int, sh
 	for _, spec := range nodes {
 		mem := spec.MemBytes
 		if mem == 0 {
-			mem = 16 << 20
+			mem = DefaultMemBytes
 		}
 		node := net.AddNode(spec.Name, spec.March, mem)
 		rt := newRuntime(c, node, mcode.MustEngine(spec.Engine))

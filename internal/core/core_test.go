@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"threechains/internal/fabric"
@@ -20,6 +22,32 @@ func testParams() fabric.NetParams {
 		SendOverhead: 100 * sim.Nanosecond,
 		RecvOverhead: 80 * sim.Nanosecond,
 		NICOverhead:  30 * sim.Nanosecond,
+	}
+}
+
+// TestDefaultClusterHeapBudget bounds what a cluster of default nodes
+// costs the host: every node heap is allocated and zeroed up front, so
+// the default node size decides whether a test suite of many worlds
+// fits in memory. 64 nodes at the 1 MiB default allocate 64 MiB; the
+// bound leaves room for the per-node runtime state but fails loudly if
+// the default doubles, let alone grows back to 16 MiB (1 GiB here).
+func TestDefaultClusterHeapBudget(t *testing.T) {
+	const nodes, bound = 64, 96 << 20
+	specs := make([]NodeSpec, nodes)
+	for i := range specs {
+		specs[i] = NodeSpec{Name: fmt.Sprintf("n%d", i), March: isa.XeonE5()}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cl := NewCluster(testParams(), specs)
+	runtime.ReadMemStats(&after)
+	if len(cl.Runtimes) != nodes {
+		t.Fatalf("%d runtimes, want %d", len(cl.Runtimes), nodes)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d default nodes allocate %.1f MiB", nodes, float64(got)/(1<<20))
+	if got > bound {
+		t.Fatalf("%d default nodes allocate %d B, bound %d B", nodes, got, bound)
 	}
 }
 

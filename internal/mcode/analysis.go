@@ -25,6 +25,12 @@ package mcode
 // proven fact stays bit-identical to the reference interpreter — if an
 // elision could ever diverge, the fact proving it is a verifier bug,
 // and the oracle comparison catches it.
+//
+// Cost: one worklist pass per function. Block in-states hold only the
+// registers that cross a block boundary (see analyzer), so a block
+// visit costs its length plus the number of those registers, not the
+// frame size. TestAnalyzeMatchesDenseReference pins the facts to a
+// dense reference analysis that keeps a full register file per block.
 
 import "threechains/internal/ir"
 
@@ -109,20 +115,27 @@ func (ff *FuncFacts) NoFaultAt(pc int32) bool {
 // Bounded reports whether the function has a static step upper bound.
 func (ff *FuncFacts) Bounded() bool { return ff != nil && ff.MaxSteps >= 0 }
 
-// analyzeModule runs the dataflow pass over every structurally valid
-// function (bad lists the invalid ones under the tolerant path; nil
-// means all valid). Local-call minimum-step contributions are refined
-// with one extra monotone round, which keeps the result a sound lower
-// bound even for recursion.
+// analyzeModule runs the dataflow pass once over every structurally
+// valid function (bad lists the invalid ones under the tolerant path;
+// nil means all valid), then computes the step bounds twice: the second
+// round refines local-call minimum-step contributions with the callee
+// minima of the first, which keeps the result a sound lower bound even
+// for recursion. Only the step bounds read the callee minima, so only
+// they run twice.
 func analyzeModule(cm *CompiledModule, bad map[int]bool) *ModuleFacts {
 	mf := &ModuleFacts{Funcs: make([]*FuncFacts, len(cm.Funcs))}
+	as := make([]*analyzer, len(cm.Funcs))
+	for i, p := range cm.Funcs {
+		if !bad[i] {
+			as[i], mf.Funcs[i] = analyzeFunc(p)
+		}
+	}
 	calleeMin := make([]int64, len(cm.Funcs))
 	for round := 0; round < 2; round++ {
-		for i := range cm.Funcs {
-			if bad[i] {
-				continue
+		for i, a := range as {
+			if a != nil {
+				a.stepBounds(mf.Funcs[i], calleeMin)
 			}
-			mf.Funcs[i] = analyzeFunc(cm, i, calleeMin)
 		}
 		for i, ff := range mf.Funcs {
 			if ff != nil {
@@ -166,59 +179,73 @@ func meetVal(a, b absVal) absVal {
 }
 
 // analyzer is the per-function fixed-point state.
+//
+// Block in-states are sparse: they hold only the function's global
+// registers, those some block reads before defining (the "globals" of
+// semi-pruned SSA construction). Every other register is defined in a
+// block before that block reads it, so its value at block entry is
+// never observed. One full-size scratch register file and defs bitset
+// run every block: loaded from the block's slab row at entry, and reset
+// after the block for the registers it defined, so that nothing stale
+// reaches the next block.
 type analyzer struct {
 	p      *Program
-	cm     *CompiledModule
 	blocks []BlockFacts
 	blkAt  []int32 // pc -> block index (leaders only need Start lookup)
-	in     [][]absVal
-	defsIn [][]uint64 // definitely-assigned register bitsets
+	succ   []int32 // block bi's successors are succ[succAt[bi]:succAt[bi+1]]
+	succAt []int32
 	seen   []bool
+
+	glob   []int32  // global registers, ascending
+	gw     int      // words per block row of defsIn
+	in     []absVal // nb × len(glob): the globals' in-state per block
+	defsIn []uint64 // nb × gw: bit j set when glob[j] is definitely assigned
+	st     []absVal // scratch register file
+	defs   []uint64 // scratch definitely-assigned register bitset
+	rbuf   []int32  // readRegs scratch
 }
 
-// analyzeFunc computes the facts for function fi. Structure is already
-// verified: every branch target is in range and the code cannot fall
-// past the end.
-func analyzeFunc(cm *CompiledModule, fi int, calleeMin []int64) *FuncFacts {
-	p := cm.Funcs[fi]
+// analyzeFunc computes the dataflow facts of one function and returns
+// them with the analyzer, whose block graph the step bounds reuse.
+// Structure is already verified: every branch target and register is in
+// range and the code cannot fall past the end.
+func analyzeFunc(p *Program) (*analyzer, *FuncFacts) {
 	n := len(p.Code)
-	a := &analyzer{p: p, cm: cm}
+	a := &analyzer{p: p}
 	a.buildBlocks()
-	nb := len(a.blocks)
-	a.in = make([][]absVal, nb)
-	a.defsIn = make([][]uint64, nb)
+	a.findGlobals()
+	nb, g := len(a.blocks), len(a.glob)
+	a.gw = (g + 63) / 64
+	a.in = make([]absVal, nb*g)
+	a.defsIn = make([]uint64, nb*a.gw)
 	a.seen = make([]bool, nb)
+	a.st = make([]absVal, p.NumRegs)
+	a.defs = make([]uint64, (p.NumRegs+63)/64)
 
 	// Entry state: parameters unknown, everything else an exact zero
 	// (register files are zeroed per activation — vm.getRegs and the
 	// engine frame pools both guarantee it).
-	words := (p.NumRegs + 63) / 64
-	entry := make([]absVal, p.NumRegs)
-	entryDefs := make([]uint64, words)
-	for r := p.Params; r < p.NumRegs; r++ {
-		entry[r] = absVal{kind: absConst}
-	}
-	for r := 0; r < p.Params; r++ {
-		entryDefs[r/64] |= 1 << (r % 64)
+	for _, r := range a.glob {
+		if int(r) < p.Params {
+			setBit(a.defs, int(r))
+		} else {
+			a.st[r] = absVal{kind: absConst}
+		}
 	}
 
 	// Fixed point over block in-states.
 	work := []int32{0}
-	a.joinInto(0, entry, entryDefs)
+	a.joinInto(0)
 	for len(work) > 0 {
 		bi := work[len(work)-1]
 		work = work[:len(work)-1]
-		st := append([]absVal(nil), a.in[bi]...)
-		defs := append([]uint64(nil), a.defsIn[bi]...)
-		blk := a.blocks[bi]
-		for pc := blk.Start; pc < blk.End; pc++ {
-			a.transfer(pc, st, defs, nil)
-		}
+		a.runBlock(bi, nil)
 		for _, s := range a.succs(bi) {
-			if a.joinInto(s, st, defs) {
+			if a.joinInto(s) {
 				work = append(work, s)
 			}
 		}
+		a.resetBlock(bi)
 	}
 
 	// Final pass: per-pc facts from the settled in-states.
@@ -232,19 +259,18 @@ func analyzeFunc(cm *CompiledModule, fi int, calleeMin []int64) *FuncFacts {
 		if !a.seen[bi] {
 			continue
 		}
-		st := append([]absVal(nil), a.in[bi]...)
-		defs := append([]uint64(nil), a.defsIn[bi]...)
 		for pc := blk.Start; pc < blk.End; pc++ {
 			ff.Reachable[pc] = true
-			a.transfer(pc, st, defs, ff)
 		}
+		a.runBlock(int32(bi), ff)
+		a.resetBlock(int32(bi))
 	}
-	a.stepBounds(ff, calleeMin)
-	return ff
+	return a, ff
 }
 
 // buildBlocks splits the code at leaders (entry, branch targets,
-// post-terminator successors) into basic blocks.
+// post-terminator successors) into basic blocks and links each block to
+// its successors.
 func (a *analyzer) buildBlocks() {
 	p := a.p
 	n := len(p.Code)
@@ -277,59 +303,175 @@ func (a *analyzer) buildBlocks() {
 		}
 		a.blkAt[pc] = int32(len(a.blocks) - 1)
 	}
+	nb := len(a.blocks)
+	a.succ = make([]int32, 0, 2*nb)
+	a.succAt = make([]int32, nb+1)
 	for i := range a.blocks {
-		if i+1 < len(a.blocks) {
-			a.blocks[i].End = a.blocks[i+1].Start
+		blk := &a.blocks[i]
+		if i+1 < nb {
+			blk.End = a.blocks[i+1].Start
 		} else {
-			a.blocks[i].End = int32(n)
+			blk.End = int32(n)
 		}
-		a.blocks[i].Steps = a.blocks[i].End - a.blocks[i].Start
+		blk.Steps = blk.End - blk.Start
+		last := &p.Code[blk.End-1]
+		switch last.Op {
+		case MJmp:
+			a.succ = append(a.succ, a.blkAt[last.Target])
+		case MJnz, MCmpBr:
+			a.succ = append(a.succ, a.blkAt[last.Target], a.blkAt[last.Imm])
+		case MRet, MTrap:
+		default:
+			// Fallthrough; verification guarantees End < len(code) here.
+			a.succ = append(a.succ, a.blkAt[blk.End])
+		}
+		a.succAt[i+1] = int32(len(a.succ))
 	}
 }
 
 // succs returns block bi's successor block indices.
 func (a *analyzer) succs(bi int32) []int32 {
-	blk := a.blocks[bi]
-	last := &a.p.Code[blk.End-1]
-	switch last.Op {
-	case MJmp:
-		return []int32{a.blkAt[last.Target]}
-	case MJnz, MCmpBr:
-		return []int32{a.blkAt[last.Target], a.blkAt[int32(last.Imm)]}
-	case MRet, MTrap:
-		return nil
-	default:
-		// Fallthrough; verification guarantees End < len(code) here.
-		return []int32{a.blkAt[blk.End]}
+	return a.succ[a.succAt[bi]:a.succAt[bi+1]]
+}
+
+// findGlobals lists the registers that some block reads before defining
+// them: the only ones whose value crosses a block boundary observably.
+func (a *analyzer) findGlobals() {
+	defAt := make([]int32, a.p.NumRegs) // 1 + the block that last defined it
+	global := make([]bool, a.p.NumRegs)
+	for bi, blk := range a.blocks {
+		mark := int32(bi) + 1
+		for pc := blk.Start; pc < blk.End; pc++ {
+			in := &a.p.Code[pc]
+			a.rbuf = readRegs(in, a.rbuf[:0])
+			for _, r := range a.rbuf {
+				if defAt[r] != mark {
+					global[r] = true
+				}
+			}
+			if writesReg(in) {
+				defAt[in.Dst] = mark
+			}
+		}
+	}
+	for r, g := range global {
+		if g {
+			a.glob = append(a.glob, int32(r))
+		}
 	}
 }
 
-// joinInto meets (st, defs) into block bi's in-state, reporting change.
-func (a *analyzer) joinInto(bi int32, st []absVal, defs []uint64) bool {
+// row returns block bi's slab rows: its globals' in-state and their
+// definitely-assigned bits.
+func (a *analyzer) row(bi int32) ([]absVal, []uint64) {
+	g := len(a.glob)
+	return a.in[int(bi)*g : int(bi+1)*g], a.defsIn[int(bi)*a.gw : int(bi+1)*a.gw]
+}
+
+// runBlock loads block bi's in-state into the scratch registers and
+// applies the block's instructions to it.
+func (a *analyzer) runBlock(bi int32, ff *FuncFacts) {
+	in, defsIn := a.row(bi)
+	for j, r := range a.glob {
+		a.st[r] = in[j]
+		if hasBit(defsIn, j) {
+			setBit(a.defs, int(r))
+		} else {
+			clearBit(a.defs, int(r))
+		}
+	}
+	blk := a.blocks[bi]
+	for pc := blk.Start; pc < blk.End; pc++ {
+		a.transfer(pc, a.st, a.defs, ff)
+	}
+}
+
+// resetBlock returns the registers block bi defined to unknown and
+// unassigned. The globals are reloaded at every block entry, and a
+// non-global is defined before it is read, so a register that readRegs
+// missed reads as unknown here instead of as a stale fact.
+func (a *analyzer) resetBlock(bi int32) {
+	blk := a.blocks[bi]
+	for pc := blk.Start; pc < blk.End; pc++ {
+		if in := &a.p.Code[pc]; writesReg(in) {
+			a.st[in.Dst] = absVal{}
+			clearBit(a.defs, int(in.Dst))
+		}
+	}
+}
+
+// joinInto meets the scratch state's globals into block bi's in-state,
+// reporting change.
+func (a *analyzer) joinInto(bi int32) bool {
+	cur, cd := a.row(bi)
 	if !a.seen[bi] {
 		a.seen[bi] = true
-		a.in[bi] = append([]absVal(nil), st...)
-		a.defsIn[bi] = append([]uint64(nil), defs...)
+		for j, r := range a.glob {
+			cur[j] = a.st[r]
+			if hasBit(a.defs, int(r)) {
+				setBit(cd, j)
+			}
+		}
 		return true
 	}
 	changed := false
-	cur := a.in[bi]
-	for r := range cur {
-		m := meetVal(cur[r], st[r])
-		if m != cur[r] {
-			cur[r] = m
+	for j, r := range a.glob {
+		if m := meetVal(cur[j], a.st[r]); m != cur[j] {
+			cur[j] = m
 			changed = true
 		}
-	}
-	cd := a.defsIn[bi]
-	for w := range cd {
-		m := cd[w] & defs[w]
-		if m != cd[w] {
-			cd[w] = m
+		if hasBit(cd, j) && !hasBit(a.defs, int(r)) {
+			clearBit(cd, j)
 			changed = true
 		}
 	}
 	return changed
+}
+
+func hasBit(b []uint64, i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
+func setBit(b []uint64, i int)      { b[i/64] |= 1 << (i % 64) }
+func clearBit(b []uint64, i int)    { b[i/64] &^= 1 << (i % 64) }
+
+// readRegs appends the registers in reads to buf: exactly the operands
+// the reference interpreter (vm.go) reads, and the only registers
+// transfer looks at besides the destination. The structural register
+// check, the globals pre-pass and the def-before-use lint all use it.
+func readRegs(in *MInstr, buf []int32) []int32 {
+	switch in.Op {
+	case MAdd, MSub, MMul, MSDiv, MUDiv, MSRem, MURem,
+		MAnd, MOr, MXor, MShl, MLShr, MAShr,
+		MFAdd, MFSub, MFMul, MFDiv, MICmp, MFCmp, MPtrAdd,
+		MStore, MCmpBr, MAtomicAddLSE, MAtomicAddCAS, MVReduce:
+		return append(buf, in.A, in.B)
+	case MTrunc, MSExt, MSIToFP, MUIToFP, MFPToSI, MFPToUI, MLoad, MJnz:
+		return append(buf, in.A)
+	case MSelect, MAtomicCASOp, MVSet, MVCopy:
+		return append(buf, in.A, in.B, in.C)
+	case MVBinOp:
+		// ArgBase is the element-count register here (see lowerFunc).
+		return append(buf, in.A, in.B, in.C, in.ArgBase)
+	case MRet:
+		if in.A != int32(ir.NoReg) {
+			return append(buf, in.A)
+		}
+	case MCallLocal, MCallExt:
+		for i := int32(0); i < in.ArgCount; i++ {
+			buf = append(buf, in.ArgBase+i)
+		}
+	}
+	return buf
+}
+
+// writesReg reports whether in writes its Dst register (a call only
+// when it has a result).
+func writesReg(in *MInstr) bool {
+	switch in.Op {
+	case MNop, MTrap, MStore, MJmp, MJnz, MCmpBr, MRet, MVSet, MVCopy, MVBinOp:
+		return false
+	case MCallLocal, MCallExt:
+		return in.Dst != int32(ir.NoReg)
+	}
+	return true
 }
 
 // transfer applies one instruction to the abstract state. When ff is
@@ -337,20 +479,18 @@ func (a *analyzer) joinInto(bi int32, st []absVal, defs []uint64) bool {
 // pre-state.
 func (a *analyzer) transfer(pc int32, st []absVal, defs []uint64, ff *FuncFacts) {
 	in := &a.p.Code[pc]
-	setDst := func(dst int32, v absVal) {
-		st[dst] = v
-		defs[dst/64] |= 1 << (dst % 64)
-	}
-	read := func(rs ...int32) {
-		if ff == nil || ff.MaybeUninit {
-			return
-		}
-		for _, r := range rs {
-			if defs[r/64]&(1<<(r%64)) == 0 {
+	if ff != nil && !ff.MaybeUninit {
+		a.rbuf = readRegs(in, a.rbuf[:0])
+		for _, r := range a.rbuf {
+			if !hasBit(defs, int(r)) {
 				ff.MaybeUninit = true
 			}
 		}
 	}
+	if writesReg(in) {
+		setBit(defs, int(in.Dst))
+	}
+	set := func(v absVal) { st[in.Dst] = v }
 	fact := func(bounds, noFault bool) {
 		if ff != nil {
 			ff.BoundsOK[pc] = bounds
@@ -371,154 +511,114 @@ func (a *analyzer) transfer(pc int32, st []absVal, defs []uint64, ff *FuncFacts)
 		fact(false, false)
 	case MConst:
 		fact(false, true)
-		setDst(in.Dst, absVal{kind: absConst, v: uint64(in.Imm)})
+		set(absVal{kind: absConst, v: uint64(in.Imm)})
 	case MAdd:
-		read(in.A, in.B)
 		fact(false, true)
 		x, y := st[in.A], st[in.B]
 		switch {
 		case x.kind == absConst && y.kind == absConst:
-			setDst(in.Dst, absVal{kind: absConst, v: x.v + y.v})
+			set(absVal{kind: absConst, v: x.v + y.v})
 		case x.kind == absStack && y.kind == absConst && y.v <= x.v:
-			setDst(in.Dst, absVal{kind: absStack, v: x.v - y.v})
+			set(absVal{kind: absStack, v: x.v - y.v})
 		case y.kind == absStack && x.kind == absConst && x.v <= y.v:
-			setDst(in.Dst, absVal{kind: absStack, v: y.v - x.v})
+			set(absVal{kind: absStack, v: y.v - x.v})
 		default:
-			setDst(in.Dst, absVal{})
+			set(absVal{})
 		}
 	case MSub, MMul, MAnd, MXor, MShl, MLShr, MAShr:
-		read(in.A, in.B)
 		fact(false, true)
 		x, y := st[in.A], st[in.B]
 		if x.kind == absConst && y.kind == absConst {
-			setDst(in.Dst, absVal{kind: absConst, v: constALU(in.Op, x.v, y.v)})
+			set(absVal{kind: absConst, v: constALU(in.Op, x.v, y.v)})
 		} else {
-			setDst(in.Dst, absVal{})
+			set(absVal{})
 		}
 	case MOr:
-		read(in.A, in.B)
 		fact(false, true)
 		x, y := st[in.A], st[in.B]
 		switch {
 		case in.A == in.B:
 			// The lowering's register-copy idiom: or r, r.
-			setDst(in.Dst, x)
+			set(x)
 		case x.kind == absConst && y.kind == absConst:
-			setDst(in.Dst, absVal{kind: absConst, v: x.v | y.v})
+			set(absVal{kind: absConst, v: x.v | y.v})
 		case x.kind == absConst && x.v == 0:
-			setDst(in.Dst, y)
+			set(y)
 		case y.kind == absConst && y.v == 0:
-			setDst(in.Dst, x)
+			set(x)
 		default:
-			setDst(in.Dst, absVal{})
+			set(absVal{})
 		}
 	case MSDiv, MUDiv, MSRem, MURem:
-		read(in.A, in.B)
 		fact(false, st[in.B].kind == absConst && st[in.B].v != 0)
-		setDst(in.Dst, absVal{})
+		set(absVal{})
 	case MFAdd, MFSub, MFMul, MFDiv, MICmp, MFCmp,
 		MSIToFP, MUIToFP, MFPToSI, MFPToUI:
-		if in.Op == MSIToFP || in.Op == MUIToFP || in.Op == MFPToSI || in.Op == MFPToUI {
-			read(in.A)
-		} else {
-			read(in.A, in.B)
-		}
 		fact(false, true)
-		setDst(in.Dst, absVal{})
+		set(absVal{})
 	case MTrunc:
-		read(in.A)
 		fact(false, true)
 		if x := st[in.A]; x.kind == absConst {
-			setDst(in.Dst, absVal{kind: absConst, v: truncTo(in.Ty, x.v)})
+			set(absVal{kind: absConst, v: truncTo(in.Ty, x.v)})
 		} else {
-			setDst(in.Dst, absVal{})
+			set(absVal{})
 		}
 	case MSExt:
-		read(in.A)
 		fact(false, true)
 		if x := st[in.A]; x.kind == absConst {
-			setDst(in.Dst, absVal{kind: absConst, v: sextFrom(in.Ty, x.v)})
+			set(absVal{kind: absConst, v: sextFrom(in.Ty, x.v)})
 		} else {
-			setDst(in.Dst, absVal{})
+			set(absVal{})
 		}
 	case MSelect:
-		read(in.A, in.B, in.C)
 		fact(false, true)
-		setDst(in.Dst, meetVal(st[in.B], st[in.C]))
+		set(meetVal(st[in.B], st[in.C]))
 	case MAlloca:
 		fact(false, false) // stack overflow is a runtime outcome
-		setDst(in.Dst, absVal{kind: absStack, v: (uint64(in.Imm) + 7) &^ 7})
+		set(absVal{kind: absStack, v: (uint64(in.Imm) + 7) &^ 7})
 	case MLoad:
-		read(in.A)
 		ok := inBounds(st[in.A], in.Imm, in.Ty.Size())
 		fact(ok, ok)
-		setDst(in.Dst, absVal{})
+		set(absVal{})
 	case MStore:
-		read(in.A, in.B)
 		ok := inBounds(st[in.B], in.Imm, in.Ty.Size())
 		fact(ok, ok)
 	case MPtrAdd:
-		read(in.A, in.B)
 		fact(false, true)
 		x, y := st[in.A], st[in.B]
 		switch {
 		case x.kind == absConst && y.kind == absConst:
-			setDst(in.Dst, absVal{kind: absConst, v: x.v + y.v*uint64(in.Imm2) + uint64(in.Imm)})
+			set(absVal{kind: absConst, v: x.v + y.v*uint64(in.Imm2) + uint64(in.Imm)})
 		case x.kind == absStack && y.kind == absConst &&
 			in.Imm >= 0 && in.Imm2 >= 0 &&
 			y.v <= 1<<32 && in.Imm2 <= 1<<32 && in.Imm <= 1<<32:
 			if tot := y.v*uint64(in.Imm2) + uint64(in.Imm); tot <= x.v {
-				setDst(in.Dst, absVal{kind: absStack, v: x.v - tot})
+				set(absVal{kind: absStack, v: x.v - tot})
 			} else {
-				setDst(in.Dst, absVal{})
+				set(absVal{})
 			}
 		default:
-			setDst(in.Dst, absVal{})
+			set(absVal{})
 		}
 	case MGlobal:
 		fact(false, false) // link table length is a load-time property
-		setDst(in.Dst, absVal{})
-	case MJmp:
-		fact(false, true)
-	case MJnz:
-		read(in.A)
-		fact(false, true)
-	case MCmpBr:
-		read(in.A, in.B)
-		fact(false, true)
-	case MRet:
-		if in.A != int32(ir.NoReg) {
-			read(in.A)
-		}
+		set(absVal{})
+	case MJmp, MJnz, MCmpBr, MRet:
 		fact(false, true)
 	case MCallLocal, MCallExt:
-		for i := int32(0); i < in.ArgCount; i++ {
-			read(in.ArgBase + i)
-		}
 		fact(false, false)
 		if in.Dst != int32(ir.NoReg) {
-			setDst(in.Dst, absVal{})
+			set(absVal{})
 		}
-	case MAtomicAddLSE, MAtomicAddCAS:
-		read(in.A, in.B)
+	case MAtomicAddLSE, MAtomicAddCAS, MAtomicCASOp:
 		ok := inBounds(st[in.A], 0, 8)
 		fact(ok, ok)
-		setDst(in.Dst, absVal{})
-	case MAtomicCASOp:
-		read(in.A, in.B, in.C)
-		ok := inBounds(st[in.A], 0, 8)
-		fact(ok, ok)
-		setDst(in.Dst, absVal{})
-	case MVSet, MVCopy:
-		read(in.A, in.B, in.C)
-		fact(false, false)
-	case MVBinOp:
-		read(in.A, in.B, in.C, in.ArgBase)
+		set(absVal{})
+	case MVSet, MVCopy, MVBinOp:
 		fact(false, false)
 	case MVReduce:
-		read(in.A, in.B)
 		fact(false, false)
-		setDst(in.Dst, absVal{})
+		set(absVal{})
 	}
 }
 

@@ -21,8 +21,6 @@ package mcode
 import (
 	"errors"
 	"fmt"
-
-	"threechains/internal/ir"
 )
 
 // ErrVerify is the parent sentinel every verifier rejection wraps:
@@ -161,80 +159,42 @@ func verifyFunc(cm *CompiledModule, fi int) error {
 		return fmt.Errorf("%w: fn %q: %d params in %d registers", ErrVerifyModule, name, p.Params, p.NumRegs)
 	}
 	n := len(p.Code)
-	noReg := int32(ir.NoReg)
 	branch := func(pc int, t int32) error {
 		if t < 0 || int(t) >= n {
 			return vErr(ErrVerifyBranch, name, pc, "target %d outside [0,%d)", t, n)
 		}
 		return nil
 	}
+	var reads []int32
 	for pc := range p.Code {
 		in := &p.Code[pc]
 		if in.Op >= mopCount {
 			return vErr(ErrVerifyOpcode, name, pc, "unknown opcode %d", uint8(in.Op))
 		}
-		// Register-operand shape per opcode, mirroring exactly what the
-		// reference interpreter (vm.go) reads and writes.
-		var reads, writes []int32
+		// Operand shape beyond plain registers, per opcode.
 		switch in.Op {
-		case MNop, MTrap:
-		case MConst:
-			writes = []int32{in.Dst}
-		case MAdd, MSub, MMul, MSDiv, MUDiv, MSRem, MURem,
-			MAnd, MOr, MXor, MShl, MLShr, MAShr,
-			MFAdd, MFSub, MFMul, MFDiv, MICmp, MFCmp, MPtrAdd:
-			reads = []int32{in.A, in.B}
-			writes = []int32{in.Dst}
-		case MTrunc, MSExt, MSIToFP, MUIToFP, MFPToSI, MFPToUI:
-			reads = []int32{in.A}
-			writes = []int32{in.Dst}
-		case MSelect:
-			reads = []int32{in.A, in.B, in.C}
-			writes = []int32{in.Dst}
 		case MAlloca:
 			if in.Imm < 0 || in.Imm > maxVerifyAlloca {
 				return vErr(ErrVerifyAlloca, name, pc, "size %d", in.Imm)
 			}
-			writes = []int32{in.Dst}
-		case MLoad:
+		case MLoad, MStore:
 			if in.Ty.Size() == 0 {
-				return vErr(ErrVerifyType, name, pc, "load of sizeless type %v", in.Ty)
+				return vErr(ErrVerifyType, name, pc, "%s of sizeless type %v", in.Op, in.Ty)
 			}
-			reads = []int32{in.A}
-			writes = []int32{in.Dst}
-		case MStore:
-			if in.Ty.Size() == 0 {
-				return vErr(ErrVerifyType, name, pc, "store of sizeless type %v", in.Ty)
-			}
-			reads = []int32{in.A, in.B}
 		case MGlobal:
 			if in.Target < 0 || int(in.Target) >= len(cm.GOT) {
 				return vErr(ErrVerifyGOT, name, pc, "data slot %d outside GOT[%d]", in.Target, len(cm.GOT))
 			}
-			writes = []int32{in.Dst}
 		case MJmp:
 			if err := branch(pc, in.Target); err != nil {
 				return err
 			}
-		case MJnz:
+		case MJnz, MCmpBr:
 			if err := branch(pc, in.Target); err != nil {
 				return err
 			}
 			if in.Imm < 0 || in.Imm >= int64(n) {
 				return vErr(ErrVerifyBranch, name, pc, "else target %d outside [0,%d)", in.Imm, n)
-			}
-			reads = []int32{in.A}
-		case MCmpBr:
-			if err := branch(pc, in.Target); err != nil {
-				return err
-			}
-			if in.Imm < 0 || in.Imm >= int64(n) {
-				return vErr(ErrVerifyBranch, name, pc, "else target %d outside [0,%d)", in.Imm, n)
-			}
-			reads = []int32{in.A, in.B}
-		case MRet:
-			if in.A != noReg {
-				reads = []int32{in.A}
 			}
 		case MCallLocal:
 			if in.Target < 0 || int(in.Target) >= len(cm.Funcs) {
@@ -251,9 +211,6 @@ func verifyFunc(cm *CompiledModule, fi int) error {
 				return vErr(ErrVerifyCall, name, pc, "%d args to %q expecting %d params",
 					in.ArgCount, callee.Name, callee.Params)
 			}
-			if in.Dst != noReg {
-				writes = []int32{in.Dst}
-			}
 		case MCallExt:
 			if in.Target < 0 || int(in.Target) >= len(cm.GOT) {
 				return vErr(ErrVerifyGOT, name, pc, "call slot %d outside GOT[%d]", in.Target, len(cm.GOT))
@@ -265,40 +222,26 @@ func verifyFunc(cm *CompiledModule, fi int) error {
 			if err := argWindow(p, name, pc, in); err != nil {
 				return err
 			}
-			if in.Dst != noReg {
-				writes = []int32{in.Dst}
-			}
-		case MAtomicAddLSE, MAtomicAddCAS:
-			reads = []int32{in.A, in.B}
-			writes = []int32{in.Dst}
-		case MAtomicCASOp:
-			reads = []int32{in.A, in.B, in.C}
-			writes = []int32{in.Dst}
-		case MVSet, MVCopy:
-			reads = []int32{in.A, in.B, in.C}
 		case MVBinOp:
-			// ArgBase is the element-count register here (see lowerFunc);
-			// the fixed shape carries ArgCount == 1.
+			// The fixed shape carries ArgCount == 1 and an element-count
+			// register in ArgBase.
 			if in.ArgCount != 1 {
 				return vErr(ErrVerifyVector, name, pc, "vbinop arg count %d", in.ArgCount)
 			}
 			if !regOK(in.ArgBase, p.NumRegs) {
 				return vErr(ErrVerifyVector, name, pc, "vbinop count register %d outside frame", in.ArgBase)
 			}
-			reads = []int32{in.A, in.B, in.C}
-		case MVReduce:
-			reads = []int32{in.A, in.B}
-			writes = []int32{in.Dst}
 		}
+		// Register operands: exactly what the reference interpreter
+		// (vm.go) reads and writes.
+		reads = readRegs(in, reads[:0])
 		for _, r := range reads {
 			if !regOK(r, p.NumRegs) {
 				return vErr(ErrVerifyRegister, name, pc, "%s reads r%d outside frame of %d", in.Op, r, p.NumRegs)
 			}
 		}
-		for _, r := range writes {
-			if !regOK(r, p.NumRegs) {
-				return vErr(ErrVerifyRegister, name, pc, "%s writes r%d outside frame of %d", in.Op, r, p.NumRegs)
-			}
+		if writesReg(in) && !regOK(in.Dst, p.NumRegs) {
+			return vErr(ErrVerifyRegister, name, pc, "%s writes r%d outside frame of %d", in.Op, in.Dst, p.NumRegs)
 		}
 	}
 	// The last instruction must not fall through past the end of the

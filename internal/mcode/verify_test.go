@@ -10,6 +10,11 @@ package mcode_test
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"threechains/internal/core"
@@ -17,6 +22,7 @@ import (
 	"threechains/internal/isa"
 	"threechains/internal/mcode"
 	"threechains/internal/minilang"
+	"threechains/internal/passes"
 )
 
 func TestVerifyAcceptsLoweredCorpora(t *testing.T) {
@@ -74,13 +80,17 @@ func okModule() *mcode.CompiledModule {
 	}
 }
 
-func TestVerifyNegativeCorpus(t *testing.T) {
+// negCase is one malformed module of the negative corpus: mut breaks
+// okModule so that exactly rule rejects it.
+type negCase struct {
+	name string
+	rule error
+	mut  func(cm *mcode.CompiledModule)
+}
+
+func negativeCorpus() []negCase {
 	noReg := int32(ir.NoReg)
-	cases := []struct {
-		name string
-		rule error
-		mut  func(cm *mcode.CompiledModule)
-	}{
+	return []negCase{
 		{"nil-function", mcode.ErrVerifyModule, func(cm *mcode.CompiledModule) {
 			cm.Funcs = append(cm.Funcs, nil)
 		}},
@@ -141,7 +151,10 @@ func TestVerifyNegativeCorpus(t *testing.T) {
 			}
 		}},
 	}
-	for _, tc := range cases {
+}
+
+func TestVerifyNegativeCorpus(t *testing.T) {
+	for _, tc := range negativeCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
 			cm := okModule()
 			tc.mut(cm)
@@ -276,5 +289,248 @@ func TestAnalysisTSIStepsMatchExecution(t *testing.T) {
 	}
 	if ff.MinSteps != int64(len(cm.Funcs[cm.FuncIndex("main")].Code)) {
 		t.Fatalf("TSI static steps %d != code length", ff.MinSteps)
+	}
+}
+
+// offloadKernelSources are the three kernel shapes of the offload-mix
+// benchmark workload: a read-only scan, a mutating write-back and a
+// heavy one that spins before it writes.
+var offloadKernelSources = []string{`function main(payload::Ptr, len::Int, target::Ptr)::Int
+    words = load64(payload, 0)
+    acc = 0
+    i = 0
+    while i < words
+        acc = acc + load64(target, i * 8)
+        i = i + 1
+    end
+    return acc
+end
+`, `function main(payload::Ptr, len::Int, target::Ptr)::Int
+    old = load64(target, 0)
+    store64(target, 0, old + 1)
+    words = load64(payload, 0)
+    j = 1
+    while j < words
+        store64(target, j * 8, old + j)
+        j = j + 1
+    end
+    return old + 1
+end
+`, `function main(payload::Ptr, len::Int, target::Ptr)::Int
+    i = 0
+    while i < 8192
+        i = i + 1
+    end
+    old = load64(target, 0)
+    store64(target, 0, old + 1)
+    words = load64(payload, 0)
+    j = 1
+    while j < words
+        store64(target, j * 8, old + j)
+        j = j + 1
+    end
+    return old
+end
+`}
+
+// deployKernelSource writes a kernel of the cold-deploy benchmark
+// workload's family: the payload word folded into an accumulator in
+// slot k of the target through random arithmetic, branches, short loops
+// and helper calls.
+func deployKernelSource(r *rand.Rand, k int) string {
+	var sb strings.Builder
+	c := func() int64 { return 3 + 2*r.Int63n(1<<20) }
+	helper := r.Intn(3) == 0
+	if helper {
+		fmt.Fprintf(&sb, "function mix(a::Int, b::Int)::Int\n    return a * %d + (b ^ %d)\nend\n\n", c(), c())
+	}
+	sb.WriteString("function main(payload::Ptr, len::Int, target::Ptr)::Int\n")
+	sb.WriteString("    x = load64(payload, 0)\n")
+	fmt.Fprintf(&sb, "    acc = load64(target, %d)\n", 8*k)
+	for n := 6 + r.Intn(11); n > 0; n-- {
+		switch r.Intn(6) {
+		case 0:
+			fmt.Fprintf(&sb, "    acc = acc * %d + x\n", c())
+		case 1:
+			fmt.Fprintf(&sb, "    acc = (acc ^ %d) + (x & %d)\n", c(), c())
+		case 2:
+			fmt.Fprintf(&sb, "    x = x + (acc | %d) - %d\n", c(), c())
+		case 3:
+			fmt.Fprintf(&sb, "    if (acc & %d) == 0\n        acc = acc + %d\n    else\n        acc = acc - x\n    end\n", 1+r.Intn(7), c())
+		case 4:
+			fmt.Fprintf(&sb, "    i = 0\n    while i < %d\n        acc = acc * %d + i\n        i = i + 1\n    end\n", 2+r.Intn(7), c())
+		default:
+			if helper {
+				sb.WriteString("    acc = mix(acc, x)\n")
+			} else {
+				fmt.Fprintf(&sb, "    acc = acc - (x * %d)\n", c())
+			}
+		}
+	}
+	fmt.Fprintf(&sb, "    store64(target, %d, acc)\n    return acc\nend\n", 8*k)
+	return sb.String()
+}
+
+// ifChainSource writes one function of k consecutive if/else blocks over
+// a payload word: the code grows linearly in k, and so must the cost of
+// verifying it.
+func ifChainSource(k int) string {
+	var sb strings.Builder
+	sb.WriteString("function main(payload::Ptr, len::Int, target::Ptr)::Int\n")
+	sb.WriteString("    x = load64(payload, 0)\n    acc = 0\n")
+	for i := 0; i < k; i++ {
+		fmt.Fprintf(&sb, "    if (x & %d) == 0\n        acc = acc + %d\n    else\n        acc = acc - x\n    end\n", 1+i%7, 2*i+3)
+	}
+	sb.WriteString("    store64(target, 0, acc)\n    return acc\nend\n")
+	return sb.String()
+}
+
+// lowerO2 compiles mod the way a receiving node's JIT does: optimized at
+// O2, then lowered for march.
+func lowerO2(t *testing.T, mod *ir.Module, march *isa.MicroArch) *mcode.CompiledModule {
+	t.Helper()
+	opt := mod.Clone()
+	if err := passes.Optimize(opt, passes.O2); err != nil {
+		t.Fatalf("%s: optimize: %v", mod.Name, err)
+	}
+	cm, err := mcode.Lower(opt, march)
+	if err != nil {
+		t.Fatalf("%s/%s: lower: %v", mod.Name, march.Name, err)
+	}
+	return cm
+}
+
+// analysisCorpus gathers every module the dense-reference oracle checks:
+// the verifier's lowered corpora, the TSI, chaser, offload-mix and
+// cold-deploy kernels, the engine fuzz's random programs, an if chain,
+// each lowered as is and at O2 on the three paper µarchs, plus the
+// negative corpus.
+func analysisCorpus(t *testing.T) map[string]*mcode.CompiledModule {
+	t.Helper()
+	mods := []*ir.Module{core.BuildTSI(), core.BuildChaser(), core.BuildPropagator()}
+	compile := func(name, src string) {
+		m, err := minilang.Compile(name, src)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", name, err, src)
+		}
+		mods = append(mods, m)
+	}
+	compile("mlverify", diffMinilangSrc)
+	for i, src := range offloadKernelSources {
+		compile(fmt.Sprintf("offload%d", i), src)
+	}
+	dr := rand.New(rand.NewSource(20220907))
+	for k := 0; k < 48; k++ {
+		compile(fmt.Sprintf("deploy%02d", k), deployKernelSource(dr, k))
+	}
+	compile("ifchain", ifChainSource(12))
+	fr := rand.New(rand.NewSource(0x5eedb10c))
+	for id := 0; id < 40; id++ {
+		mods = append(mods, randModule(fr, id))
+	}
+
+	corpus := make(map[string]*mcode.CompiledModule)
+	for _, march := range fuzzMarchs() {
+		for _, mod := range mods {
+			cm, err := mcode.Lower(mod, march)
+			if err != nil {
+				t.Fatalf("%s/%s: lower: %v", mod.Name, march.Name, err)
+			}
+			corpus[mod.Name+"/"+march.Name] = cm
+			corpus[mod.Name+"/"+march.Name+"/O2"] = lowerO2(t, mod, march)
+		}
+	}
+	for _, tc := range negativeCorpus() {
+		cm := okModule()
+		tc.mut(cm)
+		corpus["negative/"+tc.name] = cm
+	}
+	return corpus
+}
+
+// TestAnalyzeMatchesDenseReference pins the sparse dataflow to the dense
+// reference analysis it replaced: identical FuncFacts — reachability,
+// bounds and fault facts, blocks, step bounds and the def-before-use
+// lint — for every function of the corpus, so the engines' check
+// elision and the planner's static bounds cannot move.
+func TestAnalyzeMatchesDenseReference(t *testing.T) {
+	corpus := analysisCorpus(t)
+	funcs, proven := 0, 0
+	for name, cm := range corpus {
+		want := mcode.DenseAnalyze(cm)
+		got := mcode.Analyze(cm)
+		if len(got.Funcs) != len(want.Funcs) {
+			t.Fatalf("%s: %d function facts, reference %d", name, len(got.Funcs), len(want.Funcs))
+		}
+		for i, w := range want.Funcs {
+			if g := got.Funcs[i]; !reflect.DeepEqual(g, w) {
+				t.Errorf("%s: function %d: %s differ from the dense reference", name, i, factsDiff(g, w))
+				continue
+			}
+			if w != nil {
+				funcs++
+				for _, ok := range w.BoundsOK {
+					if ok {
+						proven++
+					}
+				}
+			}
+		}
+	}
+	// Guard against a vacuous corpus: the comparison must have covered
+	// many functions and proven facts that depend on cross-block state.
+	t.Logf("%d modules, %d functions, %d proven in-bounds accesses", len(corpus), funcs, proven)
+	if funcs < 600 || proven < 10000 {
+		t.Fatalf("corpus too weak: %d functions, %d proven accesses", funcs, proven)
+	}
+}
+
+// factsDiff names the FuncFacts fields in which g and w differ.
+func factsDiff(g, w *mcode.FuncFacts) string {
+	if g == nil || w == nil {
+		return fmt.Sprintf("presence (%v, reference %v)", g != nil, w != nil)
+	}
+	gv, wv := reflect.ValueOf(*g), reflect.ValueOf(*w)
+	var fields []string
+	for i := 0; i < gv.NumField(); i++ {
+		if !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
+			fields = append(fields, gv.Type().Field(i).Name)
+		}
+	}
+	return strings.Join(fields, ", ")
+}
+
+// TestAnalyzeScalesLinearly pins the verifier's allocation per
+// instruction on a function four times longer to within 2x of the
+// shorter one's. The dense analysis copied the whole register file per
+// block visit, so its cost per instruction grew with the code.
+func TestAnalyzeScalesLinearly(t *testing.T) {
+	perInstr := func(k int) float64 {
+		m, err := minilang.Compile("ifchain", ifChainSource(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm := lowerO2(t, m, isa.XeonE5())
+		best := 0.0
+		for rep := 0; rep < 3; rep++ {
+			fresh := &mcode.CompiledModule{Name: cm.Name, Funcs: cm.Funcs, GOT: cm.GOT}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := mcode.Verify(fresh); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			b := float64(after.TotalAlloc-before.TotalAlloc) / float64(cm.NumInstrs())
+			if rep == 0 || b < best {
+				best = b
+			}
+		}
+		t.Logf("k=%d: %d instructions, %.0f B/instruction", k, cm.NumInstrs(), best)
+		return best
+	}
+	small, large := perInstr(25), perInstr(100)
+	if large > 2*small {
+		t.Fatalf("verify allocates %.0f B/instruction at k=100 against %.0f at k=25 (%.1fx): not linear",
+			large, small, large/small)
 	}
 }
